@@ -36,6 +36,7 @@ from .hilbert import (
 )
 from .ito import (
     IntegrandSpec,
+    NormReport,
     PathEnsemble,
     ito_integrate,
     lr_path_norm,
@@ -58,7 +59,7 @@ from .noise import (
     sample_increments,
     wiener_values,
 )
-from .norms import NormReport, TwoParameterField, estimate_lpq, estimate_lpqr
+from .norms import TwoParameterField, estimate_lpq, estimate_lpqr
 
 __version__ = "0.1.0"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,20 @@ def _require(data: dict, key: str, kinds, where: str):
             f"key {key!r} in {where} must be {kinds}, got {type(value).__name__}"
         )
     return value
+
+
+def _number(data: dict, key: str, where: str) -> float:
+    value = _require(data, key, (int, float), where)
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} in {where} must be finite, got {value}")
+    return float(value)
+
+
+def _finite(values: list, key: str, where: str) -> None:
+    """Reject any entry of a list, or of its row lists, that is not a finite number."""
+    flat = [v for item in values for v in (item if isinstance(item, list) else [item])]
+    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in flat):
+        raise ConfigError(f"key {key!r} in {where} must hold finite numbers")
 
 
 def _positive_int(data: dict, key: str, where: str) -> int:
@@ -126,12 +141,14 @@ def _validate_semigroup(data: dict, dim_h: int):
             raise ConfigError(
                 f"semigroup rates length {len(rates)} must equal dims.H={dim_h}"
             )
-        if any(not isinstance(v, (int, float)) or v < 0 for v in rates):
+        _finite(rates, "rates", "semigroup")
+        if any(v < 0 for v in rates):
             raise ConfigError("semigroup rates must be nonnegative numbers")
     elif kind == "dense":
         gen = _require(data, "generator", list, "semigroup")
         if len(gen) != dim_h or any(len(row) != dim_h for row in gen):
             raise ConfigError("semigroup generator must be a dims.H square matrix")
+        _finite(gen, "generator", "semigroup")
     else:
         raise ConfigError(f"semigroup kind must be diagonal or dense, got {kind!r}")
 
@@ -158,10 +175,12 @@ def _validate_operator(data: dict, dim_u: int, dim_h: int):
             raise ConfigError("diagonal operator requires dims.U == dims.H")
         if len(eig) != dim_u:
             raise ConfigError(f"operator eigenvalue count {len(eig)} must equal {dim_u}")
+        _finite(eig, "eigenvalues", "operator")
     elif kind == "dense":
         rows = _require(data, "rows", list, "operator")
         if len(rows) != dim_h or any(len(row) != dim_u for row in rows):
             raise ConfigError("dense operator rows must form a dims.H x dims.U matrix")
+        _finite(rows, "rows", "operator")
     else:
         raise ConfigError(f"operator kind must be diagonal or dense, got {kind!r}")
 
@@ -183,7 +202,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     dim_u = _positive_int(dims, "U", "dims")
     dim_h = _positive_int(dims, "H", "dims")
     grid_data = _require(data, "grid", dict, "config")
-    horizon = _require(grid_data, "T", (int, float), "grid")
+    horizon = _number(grid_data, "T", "grid")
     if horizon <= 0:
         raise ConfigError("grid.T must be positive")
     n_steps = _positive_int(grid_data, "N", "grid")
@@ -192,19 +211,20 @@ def parse_config(data: dict) -> ScenarioConfig:
     q_eig = _require(data, "q_eigenvalues", list, "config")
     if len(q_eig) != dim_u:
         raise ConfigError(f"q_eigenvalues length {len(q_eig)} must equal dims.U={dim_u}")
-    if any(not isinstance(v, (int, float)) or v < 0 for v in q_eig):
+    _finite(q_eig, "q_eigenvalues", "config")
+    if any(v < 0 for v in q_eig):
         raise ConfigError("q_eigenvalues must be nonnegative numbers")
     integrand = _require(data, "integrand", dict, "config")
     _validate_integrand(integrand, dim_u, dim_h)
     expo = _require(data, "exponents", dict, "config")
-    p = float(_require(expo, "p", (int, float), "exponents"))
-    q = float(_require(expo, "q", (int, float), "exponents"))
-    r = float(_require(expo, "r", (int, float), "exponents"))
+    p = _number(expo, "p", "exponents")
+    q = _number(expo, "q", "exponents")
+    r = _number(expo, "r", "exponents")
     if p < 1 or q < 1:
         raise ConfigError("exponents.p and exponents.q must be >= 1")
     if r <= 1:
         raise ConfigError("exponents.r must be > 1")
-    beta = float(_require(data, "beta", (int, float), "config"))
+    beta = _number(data, "beta", "config")
     if not 0.0 <= beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
     if experiment in ("factorize-compare", "norms") and beta * r <= 1.0:
@@ -215,9 +235,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     if isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     n_paths = _positive_int(data, "n_paths", "config")
-    workers = int(data.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    workers = _positive_int(data, "workers", "config") if "workers" in data else 1
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("options must be an object")
@@ -225,7 +243,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         experiment=experiment,
         dim_u=dim_u,
         dim_h=dim_h,
-        grid=TimeGrid(float(horizon), n_steps),
+        grid=TimeGrid(horizon, n_steps),
         semigroup_json=semigroup,
         q_eigenvalues=tuple(float(v) for v in q_eig),
         integrand_json=integrand,

@@ -148,28 +148,31 @@ def c_beta(beta: float) -> float:
     return 1.0 / beta_integral(beta)
 
 
-def _lag_apply(semigroup: SemigroupSpec, dt: float, n_lags: int):
-    """Return apply(j, block): the semigroup at lag j*dt acting on (..., dim).
+def _lag_convolve(
+    x: np.ndarray, weights: np.ndarray, semigroup: SemigroupSpec, dt: float
+) -> np.ndarray:
+    """Causal lag convolution of a node sequence, shape (paths, N + 1, dim).
 
-    Lag values are powers of S(dt), consistent with the one-step recursion of
-    the direct pipeline.
+    Node k carries sum_{j=1..k} w_j S(j dt) x_{k-j}, with N = len(weights);
+    only nodes 0..N-1 of x are read.  For a dense semigroup S(j dt) is the
+    j-th power of S(dt), consistent with the one-step recursion of the direct
+    pipeline; a diagonal one uses exp(-rate j dt) directly.
     """
+    n_lags = weights.size
+    values = np.zeros((x.shape[0], n_lags + 1, x.shape[2]))
     if semigroup.is_diagonal:
         lag_decay = np.exp(-np.outer(np.arange(1, n_lags + 1) * dt, semigroup.rates))
-
-        def apply(j, block):
-            return block * lag_decay[j - 1]
-
+        for j in range(1, n_lags + 1):
+            block = x[:, : n_lags - j + 1, :]
+            values[:, j:, :] += weights[j - 1] * (block * lag_decay[j - 1])
     else:
         step = operator_matrix(semigroup_eval(semigroup, dt))
-        powers = [step]
-        for _ in range(n_lags - 1):
-            powers.append(powers[-1] @ step)
-
-        def apply(j, block):
-            return block @ powers[j - 1].T
-
-    return apply
+        power = step
+        for j in range(1, n_lags + 1):
+            block = x[:, : n_lags - j + 1, :]
+            values[:, j:, :] += weights[j - 1] * (block @ power.T)
+            power = power @ step
+    return values
 
 
 def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
@@ -208,14 +211,9 @@ def kernel_convolution(req: ConvolutionRequest) -> PathEnsemble:
     beta = 0 reproduces ``direct_convolution`` up to float reassociation.
     """
     products = integrand_products(req.phi, req.noise)
-    n_paths, n_steps, dim_h = products.shape
     dt = req.noise.grid.dt
-    lags = np.arange(1, n_steps + 1) * dt
-    weights = lags ** (-req.beta)
-    values = np.zeros((n_paths, n_steps + 1, dim_h))
-    apply = _lag_apply(req.semigroup, dt, n_steps)
-    for j in range(1, n_steps + 1):
-        values[:, j:, :] += weights[j - 1] * apply(j, products[:, : n_steps - j + 1, :])
+    weights = (np.arange(1, products.shape[1] + 1) * dt) ** (-req.beta)
+    values = _lag_convolve(products, weights, req.semigroup, dt)
     return PathEnsemble(values, req.noise.grid)
 
 
@@ -235,16 +233,10 @@ def factorization_smoothing(
         raise StochConvError(
             f"smoothing requires beta in (1/r, 1), got beta={beta}, r={r}"
         )
-    n_paths, n_nodes, dim_h = y.values.shape
-    n_steps = n_nodes - 1
     dt = y.grid.dt
-    edges = (np.arange(n_steps + 1) * dt) ** beta
+    edges = (np.arange(y.grid.n_steps + 1) * dt) ** beta
     weights = c_beta(beta) * (edges[1:] - edges[:-1]) / beta
-    values = np.zeros((n_paths, n_nodes, dim_h))
-    apply = _lag_apply(semigroup, dt, n_steps)
-    for j in range(1, n_steps + 1):
-        values[:, j:, :] += weights[j - 1] * apply(j, y.values[:, : n_steps - j + 1, :])
-    return PathEnsemble(values, y.grid)
+    return PathEnsemble(_lag_convolve(y.values, weights, semigroup, dt), y.grid)
 
 
 def factorized_convolution(req: ConvolutionRequest) -> PathEnsemble:

@@ -18,9 +18,11 @@ from . import convolution as conv
 from . import measures
 from .config import ScenarioConfig
 from .errors import ConfigError, StochConvError
-from .fubini import FubiniFamily, fubini_report, integrate_then_ito, ito_then_integrate
+from .fubini import FubiniFamily, fubini_report
 from .hilbert import SpectralOperator, operator_matrix, semigroup_eval
-from .ito import IntegrandSpec, ito_integrate, lr_path_norm, path_sup_norms
+from .ito import (
+    IntegrandSpec, export_paths_csv, ito_integrate, lr_path_norm, path_sup_norms,
+)
 from .noise import coarsen_increments, sample_increments
 from .norms import (
     deterministic_lpq_norm,
@@ -87,6 +89,13 @@ def _sample_noise(cfg: ScenarioConfig, seed=None):
     )
 
 
+def _request(cfg: ScenarioConfig, noise, phi, semigroup) -> conv.ConvolutionRequest:
+    return conv.ConvolutionRequest(
+        phi=phi, semigroup=semigroup, noise=noise,
+        beta=cfg.beta, r=cfg.r, p=cfg.p, q=cfg.q,
+    )
+
+
 def _diagonal_scenario(cfg: ScenarioConfig):
     """Rates, covariance and integrand eigenvalues for mode-wise presets."""
     if cfg.semigroup_json.get("kind") != "diagonal":
@@ -116,15 +125,7 @@ def _mode_variance_closed_form(rates, q_eig, phi_eig, horizon: float) -> np.ndar
 def _variance_check(cfg: ScenarioConfig, out_dir: str):
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
     noise = _sample_noise(cfg)
-    request = conv.ConvolutionRequest(
-        phi=cfg.build_integrand(),
-        semigroup=cfg.build_semigroup(),
-        noise=noise,
-        beta=cfg.beta,
-        r=cfg.r,
-        p=cfg.p,
-        q=cfg.q,
-    )
+    request = _request(cfg, noise, cfg.build_integrand(), cfg.build_semigroup())
     ensemble = conv.direct_convolution(request)
     final = ensemble.values[:, -1, :]
     n = final.shape[0]
@@ -216,12 +217,8 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
 def _run_fubini(cfg: ScenarioConfig, out_dir: str):
     family = _build_family(cfg)
     noise = _sample_noise(cfg)
-    lhs = integrate_then_ito(family, noise)
-    rhs = ito_then_integrate(family, noise)
     report_obj = fubini_report(family, noise)
-    scale = max(
-        float(np.max(np.abs(lhs.values))), float(np.max(np.abs(rhs.values))), 0.0
-    )
+    scale = report_obj.meta["scale"]
     headline = report_obj.sup_abs
     relative = headline / scale if scale > 0.0 else 0.0
     ok = relative <= 1e-10
@@ -274,15 +271,7 @@ def _run_factorize_compare(cfg: ScenarioConfig, out_dir: str):
     violations = 0
     for factor in factors:
         noise = coarsen_increments(fine_noise, factor)
-        request = conv.ConvolutionRequest(
-            phi=phi,
-            semigroup=semigroup,
-            noise=noise,
-            beta=cfg.beta,
-            r=cfg.r,
-            p=cfg.p,
-            q=cfg.q,
-        )
+        request = _request(cfg, noise, phi, semigroup)
         direct = conv.direct_convolution(request)
         rough = conv.kernel_convolution(request)
         smoothed = conv.factorization_smoothing(rough, semigroup, cfg.beta, cfg.r)
@@ -381,10 +370,7 @@ def _run_norms(cfg: ScenarioConfig, out_dir: str):
     weight = SpectralOperator(
         cfg.space_u(), cfg.space_u(), np.asarray(cfg.q_eigenvalues, float)
     )
-    request = conv.ConvolutionRequest(
-        phi=phi, semigroup=semigroup, noise=noise,
-        beta=cfg.beta, r=cfg.r, p=cfg.p, q=cfg.q,
-    )
+    request = _request(cfg, noise, phi, semigroup)
     direct = conv.direct_convolution(request)
     rough = conv.kernel_convolution(request)
     smoothed = conv.factorization_smoothing(rough, semigroup, cfg.beta, cfg.r)
@@ -542,15 +528,7 @@ def run_convolve(cfg: ScenarioConfig, method: str, out_path: str, check: bool):
         raise ConfigError(f"method must be direct, factorized or both, got {method!r}")
     noise = _sample_noise(cfg)
     semigroup = cfg.build_semigroup()
-    request = conv.ConvolutionRequest(
-        phi=cfg.build_integrand(),
-        semigroup=semigroup,
-        noise=noise,
-        beta=cfg.beta,
-        r=cfg.r,
-        p=cfg.p,
-        q=cfg.q,
-    )
+    request = _request(cfg, noise, cfg.build_integrand(), semigroup)
     outputs = {}
     ok = True
     if method in ("direct", "both"):
@@ -565,15 +543,5 @@ def run_convolve(cfg: ScenarioConfig, method: str, out_path: str, check: bool):
         outputs["factorized"] = smoothed
         if check:
             ok = _holder_violations(rough, smoothed, semigroup, cfg.beta, cfg.r) == 0
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        dim = cfg.dim_h
-        header = "method,path_id,t," + ",".join(f"coord_{d}" for d in range(dim))
-        fh.write(header + "\n")
-        nodes = cfg.grid.nodes
-        for name in sorted(outputs):
-            ensemble = outputs[name]
-            for p_ix in range(ensemble.n_paths):
-                for k, t in enumerate(nodes):
-                    coords = ",".join(repr(float(v)) for v in ensemble.values[p_ix, k])
-                    fh.write(f"{name},{p_ix},{float(t)!r},{coords}\n")
+    export_paths_csv(outputs, out_path)
     return ok

@@ -113,12 +113,14 @@ def fubini_report(family: FubiniFamily, noise: NoiseEnsemble) -> DiscrepancyRepo
     """Discrepancy between the two reduction orders on common noise.
 
     The headline number is the ``sup_abs`` field: the maximum over paths and
-    nodes of the absolute difference.
+    nodes of the absolute difference.  ``meta["scale"]`` is the largest
+    absolute value on either side, the yardstick for a relative headline.
     """
     lhs = integrate_then_ito(family, noise)
     rhs = ito_then_integrate(family, noise)
+    scale = max(float(np.max(np.abs(lhs.values))), float(np.max(np.abs(rhs.values))), 0.0)
     return compare(
         lhs,
         rhs,
-        meta={"seed": noise.master_seed, "n_atoms": family.n_atoms},
+        meta={"seed": noise.master_seed, "n_atoms": family.n_atoms, "scale": scale},
     )

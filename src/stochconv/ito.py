@@ -14,11 +14,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PredictabilityError, StochConvError
-from .hilbert import HilbertSpec, Operator, SpectralOperator, operator_matrix
-from .noise import NoiseEnsemble, TimeGrid
+from .hilbert import DenseOperator, HilbertSpec, Operator, SpectralOperator, operator_matrix
+from .noise import NoiseEnsemble, TimeGrid, sample_increments
 
 __all__ = [
     "IntegrandSpec",
+    "NormReport",
     "PathEnsemble",
     "ito_integrate",
     "integrand_products",
@@ -103,8 +104,6 @@ class IntegrandSpec:
 
 
 def _scaled_operator(op: Operator, factor: float) -> Operator:
-    from .hilbert import DenseOperator
-
     if isinstance(op, SpectralOperator):
         return SpectralOperator(op.domain, op.codomain, factor * op.eigenvalues)
     return DenseOperator(op.domain, op.codomain, factor * op.entries)
@@ -137,6 +136,34 @@ class PathEnsemble:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
+
+
+@dataclass(frozen=True)
+class NormReport:
+    """A norm estimate with its standard error and the exponents used."""
+
+    estimate: float
+    standard_error: float
+    p: float
+    q: float
+    r: float | None = None
+    n_paths: int = 0
+    n_boot: int = 0
+
+    def __post_init__(self):
+        if not np.isfinite(self.estimate) or self.estimate < 0.0:
+            raise StochConvError(f"estimate must be finite nonnegative, got {self.estimate}")
+        if self.standard_error < 0.0:
+            raise StochConvError("standard error must be nonnegative")
+
+    def to_json(self) -> dict:
+        return {
+            "estimate": self.estimate,
+            "se": self.standard_error,
+            "p": self.p,
+            "q": self.q,
+            "r": self.r,
+        }
 
 
 def _check_compatible(phi: IntegrandSpec, noise: NoiseEnsemble):
@@ -217,8 +244,6 @@ def probe_predictability(
     Raises:
       PredictabilityError: if any probed node value changes.
     """
-    from .noise import sample_increments
-
     if phi.kind != ADAPTED:
         return
     n_steps = noise.grid.n_steps
@@ -259,8 +284,6 @@ def lr_path_norm(ensemble: PathEnsemble, r: float):
     Raises:
       StochConvError: if r < 1.
     """
-    from .norms import NormReport
-
     if r < 1.0:
         raise StochConvError(f"exponent must satisfy r >= 1, got {r}")
     sups = path_sup_norms(ensemble) ** r
@@ -275,19 +298,30 @@ def lr_path_norm(ensemble: PathEnsemble, r: float):
     return NormReport(estimate=estimate, standard_error=se, p=r, q=r, r=r, n_paths=n)
 
 
-def export_paths_csv(ensemble: PathEnsemble, file) -> None:
-    """Write paths as CSV rows ``path_id, t, coord_0, ..., coord_{d-1}``."""
+def export_paths_csv(paths, file) -> None:
+    """Write paths as CSV rows ``path_id, t, coord_0, ..., coord_{d-1}``.
+
+    ``paths`` is one ``PathEnsemble`` or a ``{method: PathEnsemble}`` mapping;
+    a mapping adds a leading ``method`` column and writes methods in sorted
+    order.
+    """
+    if isinstance(paths, PathEnsemble):
+        groups, header = {"": paths}, ""
+    else:
+        groups, header = {f"{name},": paths[name] for name in sorted(paths)}, "method,"
+    if not groups:
+        raise StochConvError("no path ensembles to export")
+    dim = next(iter(groups.values())).dim
     own = isinstance(file, (str, bytes))
-    fh = open(file, "w", newline="") if own else file
+    fh = open(file, "w", encoding="utf-8", newline="") if own else file
     try:
-        dim = ensemble.dim
-        header = "path_id,t," + ",".join(f"coord_{d}" for d in range(dim))
-        fh.write(header + "\n")
-        nodes = ensemble.grid.nodes
-        for p in range(ensemble.n_paths):
-            for k, t in enumerate(nodes):
-                coords = ",".join(repr(float(v)) for v in ensemble.values[p, k])
-                fh.write(f"{p},{float(t)!r},{coords}\n")
+        fh.write(header + "path_id,t," + ",".join(f"coord_{d}" for d in range(dim)) + "\n")
+        for lead, ensemble in groups.items():
+            nodes = ensemble.grid.nodes
+            for p in range(ensemble.n_paths):
+                for k, t in enumerate(nodes):
+                    coords = ",".join(repr(float(v)) for v in ensemble.values[p, k])
+                    fh.write(f"{lead}{p},{float(t)!r},{coords}\n")
     finally:
         if own:
             fh.close()

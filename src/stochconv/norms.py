@@ -17,45 +17,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, StochConvError
-from .hilbert import SemigroupSpec, SpectralOperator, operator_matrix, semigroup_eval
+from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, operator_matrix, semigroup_eval
+from .ito import CONSTANT, TIME_VARYING, NormReport
 from .noise import TimeGrid
 
 __all__ = [
-    "NormReport",
     "TwoParameterField",
     "estimate_lpq",
     "estimate_lpqr",
     "singular_kernel_field",
     "deterministic_lpq_norm",
 ]
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """A norm estimate with its standard error and the exponents used."""
-
-    estimate: float
-    standard_error: float
-    p: float
-    q: float
-    r: float | None = None
-    n_paths: int = 0
-    n_boot: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.estimate) or self.estimate < 0.0:
-            raise StochConvError(f"estimate must be finite nonnegative, got {self.estimate}")
-        if self.standard_error < 0.0:
-            raise StochConvError("standard error must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "se": self.standard_error,
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-        }
 
 
 @dataclass(frozen=True)
@@ -185,8 +157,6 @@ def singular_kernel_field(
     Hilbert-Schmidt norm.  The returned field has a single path since the
     expectation of a deterministic integrand is trivial.
     """
-    from .ito import CONSTANT, TIME_VARYING
-
     if phi.kind not in (CONSTANT, TIME_VARYING):
         raise StochConvError("field construction requires a deterministic integrand")
     if not 0.0 <= beta < 1.0:
@@ -239,9 +209,6 @@ def deterministic_lpq_norm(
     Hilbert-Schmidt magnitude; for a deterministic process the inner
     expectation is trivial so the p exponent drops out.
     """
-    from .ito import CONSTANT, TIME_VARYING
-    from .hilbert import hs_norm
-
     if q_exponent < 1.0:
         raise StochConvError(f"exponent must be >= 1, got {q_exponent}")
     if phi.kind == CONSTANT:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,40 @@ def test_config_hash_is_canonical():
         (lambda d: d.update(n_paths=0), "n_paths"),
         (lambda d: d.update(workers=0), "workers"),
         (lambda d: d.update(options=[1, 2]), "options"),
+        # new rows carry explicit ids so that the ids of the rows above stay unchanged
+        pytest.param(lambda d: d.update(workers="abc"), "workers", id="workers-str"),
+        pytest.param(lambda d: d.update(workers=2.7), "workers", id="workers-float"),
+        pytest.param(lambda d: d.update(workers=True), "workers", id="workers-bool"),
+        pytest.param(lambda d: d["grid"].update(T=math.nan), "grid.T", id="T-nan"),
+        pytest.param(lambda d: d["grid"].update(T=math.inf), "grid.T", id="T-inf"),
+        pytest.param(
+            lambda d: d["semigroup"].update(rates=[math.nan]), "rates", id="rates-nan"
+        ),
+        pytest.param(
+            lambda d: d["semigroup"].update(rates=[math.inf]), "rates", id="rates-inf"
+        ),
+        pytest.param(
+            lambda d: d.update(semigroup={"kind": "dense", "generator": [[math.nan]]}),
+            "generator",
+            id="generator-nan",
+        ),
+        pytest.param(
+            lambda d: d.update(q_eigenvalues=[math.inf]), "q_eigenvalues", id="q-inf"
+        ),
+        pytest.param(
+            lambda d: d["integrand"]["operator"].update(eigenvalues=[math.nan]),
+            "eigenvalues",
+            id="eigenvalues-nan",
+        ),
+        pytest.param(
+            lambda d: d["integrand"].update(operator={"kind": "dense", "rows": [[-math.inf]]}),
+            "rows",
+            id="rows-inf",
+        ),
+        pytest.param(lambda d: d["exponents"].update(p=math.nan), "exponents.p", id="p-nan"),
+        pytest.param(lambda d: d["exponents"].update(q=math.inf), "exponents.q", id="q-exp-inf"),
+        pytest.param(lambda d: d["exponents"].update(r=math.inf), "exponents.r", id="r-inf"),
+        pytest.param(lambda d: d.update(beta=math.nan), "beta", id="beta-nan"),
     ],
 )
 def test_schema_violations_raise_config_error(mutate, fragment):

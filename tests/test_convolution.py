@@ -25,6 +25,7 @@ from stochconv import (
     factorized_convolution,
     kernel_convolution,
     sample_increments,
+    semigroup_eval,
     sup_norm,
     wiener_values,
 )
@@ -33,6 +34,7 @@ from stochconv.convolution import (
     left_lr_norm,
     smoothing_bound_factor,
 )
+from stochconv.hilbert import operator_matrix
 from stochconv.ito import path_sup_norms
 
 
@@ -189,20 +191,29 @@ def test_kernel_small_beta_continuity():
     assert np.max(np.abs(a - b)) <= 1e-5 * scale
 
 
-def test_kernel_explicit_sum_oracle():
-    req = _scalar_request(n_steps=10, n_paths=3, rate=0.8, beta=0.4, seed=31)
+def _nonnormal_semigroup(space):
+    """Dense, non-normal generator: covers the matrix-power branch of the lag loop."""
+    return SemigroupSpec(space, generator=[[-0.6, 1.5], [0.0, -1.7]], horizon=1.0)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_kernel_explicit_sum_oracle(kind):
+    if kind == "diagonal":
+        req = _scalar_request(n_steps=10, n_paths=3, rate=0.8, beta=0.4, seed=31)
+    else:
+        space = HilbertSpec(2)
+        noise = sample_increments(QWienerSpec(space, [1.0, 0.5]), TimeGrid(1.0, 10), 31, 3)
+        phi = IntegrandSpec.from_constant(SpectralOperator(space, space, [1.0, 1.0]))
+        req = ConvolutionRequest(phi, _nonnormal_semigroup(space), noise, beta=0.4, r=4.0)
     ens = kernel_convolution(req)
     dt = req.noise.grid.dt
-    inc = req.noise.increments[:, :, 0]
+    inc = req.noise.increments
     for k in range(11):
-        if k == 0:
-            oracle = np.zeros(3)
-        else:
-            oracle = sum(
-                ((k - i) * dt) ** (-0.4) * math.exp(-0.8 * (k - i) * dt) * inc[:, i]
-                for i in range(k)
-            )
-        assert np.allclose(ens.values[:, k, 0], oracle, rtol=1e-12, atol=1e-15)
+        oracle = np.zeros(ens.values[:, k].shape)
+        for i in range(k):
+            s_mat = operator_matrix(semigroup_eval(req.semigroup, (k - i) * dt))
+            oracle += ((k - i) * dt) ** (-0.4) * inc[:, i] @ s_mat.T
+        assert np.allclose(ens.values[:, k], oracle, rtol=1e-12, atol=1e-15)
 
 
 # --------------------------------------------------- smoothing pipeline
@@ -252,14 +263,18 @@ def test_smoothing_pathwise_holder_bound():
     assert np.all(sups <= factor * rough_norms + 1e-10)
 
 
-def test_smoothing_explicit_sum_oracle(rng):
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_smoothing_explicit_sum_oracle(rng, kind):
     # brute-force the product-integration sum on a tiny grid, with decay
     space = HilbertSpec(2)
     grid = TimeGrid(1.0, 9)
     values = rng.normal(size=(3, 10, 2))
     ens = PathEnsemble(values, grid)
     rates = np.array([0.6, 1.7])
-    sg = SemigroupSpec(space, rates=rates, horizon=1.0)
+    if kind == "diagonal":
+        sg = SemigroupSpec(space, rates=rates, horizon=1.0)
+    else:
+        sg = _nonnormal_semigroup(space)
     beta, r = 0.45, 4.0
     out = factorization_smoothing(ens, sg, beta, r)
     dt = grid.dt
@@ -269,8 +284,8 @@ def test_smoothing_explicit_sum_oracle(rng):
             oracle = np.zeros(2)
             for i in range(k):
                 weight = ((k - i) * dt) ** beta - ((k - i - 1) * dt) ** beta
-                decay = np.exp(-rates * (k - i) * dt)
-                oracle += cb * weight / beta * decay * values[path, i]
+                s_mat = operator_matrix(semigroup_eval(sg, (k - i) * dt))
+                oracle += cb * weight / beta * (s_mat @ values[path, i])
             assert np.allclose(out.values[path, k], oracle, rtol=1e-11, atol=1e-14)
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,13 @@ from stochconv import (
     ito_then_integrate,
     sample_increments,
 )
+from stochconv import fubini
+from stochconv.config import parse_config
+from stochconv.experiments import run_experiment
 
 from conftest import relative_gap
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _noise(dim=1, n_steps=100, n_paths=50, seed=101):
@@ -177,3 +185,20 @@ def test_family_validation():
             weights=np.array([1.0, 1.0]),
             integrands=(base, two),
         )
+
+
+def test_fubini_experiment_builds_each_side_once(tmp_path, monkeypatch):
+    data = json.loads((CONFIG_DIR / "fubini_midpoint.json").read_text())
+    data["n_paths"] = 3
+    n_atoms = data["options"]["family"]["quadrature"]["n"]
+    calls = []
+    original = fubini.integrand_products
+
+    def counting(phi, noise):
+        calls.append(phi)
+        return original(phi, noise)
+
+    monkeypatch.setattr(fubini, "integrand_products", counting)
+    _, ok = run_experiment(parse_config(data), str(tmp_path))
+    assert ok
+    assert len(calls) == 2 * n_atoms
