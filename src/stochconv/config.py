@@ -44,18 +44,32 @@ def _require(data: dict, key: str, kinds, where: str):
     return value
 
 
+def _is_finite(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _number(data: dict, key: str, where: str) -> float:
     value = _require(data, key, (int, float), where)
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r} in {where} must be finite, got {value}")
+    if not _is_finite(value):
+        raise ConfigError(f"key {key!r} in {where} must be a finite number")
     return float(value)
 
 
 def _finite(values: list, key: str, where: str) -> None:
     """Reject any entry of a list, or of its row lists, that is not a finite number."""
     flat = [v for item in values for v in (item if isinstance(item, list) else [item])]
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in flat):
+    if not all(_is_finite(v) for v in flat):
         raise ConfigError(f"key {key!r} in {where} must hold finite numbers")
+
+
+def _matrix(data: dict, key: str, n_rows: int, n_cols: int, where: str) -> None:
+    rows = _require(data, key, list, where)
+    if len(rows) != n_rows or any(not isinstance(row, list) or len(row) != n_cols for row in rows):
+        raise ConfigError(f"key {key!r} in {where} must be a {n_rows} x {n_cols} list of rows")
+    _finite(rows, key, where)
 
 
 def _positive_int(data: dict, key: str, where: str) -> int:
@@ -63,6 +77,13 @@ def _positive_int(data: dict, key: str, where: str) -> int:
     if isinstance(value, bool) or value < 1:
         raise ConfigError(f"key {key!r} in {where} must be a positive integer")
     return value
+
+
+def _positive_ints(data: dict, key: str, where: str) -> list:
+    values = _require(data, key, list, where)
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+        raise ConfigError(f"key {key!r} in {where} must hold positive integers")
+    return values
 
 
 @dataclass(frozen=True)
@@ -145,10 +166,7 @@ def _validate_semigroup(data: dict, dim_h: int):
         if any(v < 0 for v in rates):
             raise ConfigError("semigroup rates must be nonnegative numbers")
     elif kind == "dense":
-        gen = _require(data, "generator", list, "semigroup")
-        if len(gen) != dim_h or any(len(row) != dim_h for row in gen):
-            raise ConfigError("semigroup generator must be a dims.H square matrix")
-        _finite(gen, "generator", "semigroup")
+        _matrix(data, "generator", dim_h, dim_h, "semigroup")
     else:
         raise ConfigError(f"semigroup kind must be diagonal or dense, got {kind!r}")
 
@@ -177,10 +195,7 @@ def _validate_operator(data: dict, dim_u: int, dim_h: int):
             raise ConfigError(f"operator eigenvalue count {len(eig)} must equal {dim_u}")
         _finite(eig, "eigenvalues", "operator")
     elif kind == "dense":
-        rows = _require(data, "rows", list, "operator")
-        if len(rows) != dim_h or any(len(row) != dim_u for row in rows):
-            raise ConfigError("dense operator rows must form a dims.H x dims.U matrix")
-        _finite(rows, "rows", "operator")
+        _matrix(data, "rows", dim_h, dim_u, "operator")
     else:
         raise ConfigError(f"operator kind must be diagonal or dense, got {kind!r}")
 
@@ -232,8 +247,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"experiment {experiment!r} requires beta in (1/r, 1), got beta={beta}, r={r}"
         )
     seed = _require(data, "seed", int, "config")
-    if isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ConfigError("seed must be a nonnegative integer below 2**64")
     n_paths = _positive_int(data, "n_paths", "config")
     workers = _positive_int(data, "workers", "config") if "workers" in data else 1
     options = data.get("options", {})

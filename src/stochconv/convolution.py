@@ -14,8 +14,10 @@ tightens under grid refinement with common (aggregated) noise.
 
 The singular stochastic kernel is only ever evaluated at lags >= dt: the
 left-point rule excludes the i = k term, so no regularization is needed.
-Semigroup values at lag j*dt are built by repeated multiplication of S(dt),
-matching the prefix recursion used by the direct pipeline.
+Semigroup values at lag j*dt come from ``hilbert.lag_operators``, the one place
+where S(j dt) is decided (exp(-rate j dt) for a diagonal semigroup, the j-th
+power of S(dt) for a dense one, matching the prefix recursion of the direct
+pipeline); every pipeline here applies them through ``apply_operator``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, StochConvError
-from .hilbert import SemigroupSpec, operator_matrix, semigroup_eval
+from .hilbert import SemigroupSpec, apply_operator, lag_operators
 from .ito import IntegrandSpec, PathEnsemble, integrand_products
 from .noise import NoiseEnsemble
 
@@ -154,24 +156,14 @@ def _lag_convolve(
     """Causal lag convolution of a node sequence, shape (paths, N + 1, dim).
 
     Node k carries sum_{j=1..k} w_j S(j dt) x_{k-j}, with N = len(weights);
-    only nodes 0..N-1 of x are read.  For a dense semigroup S(j dt) is the
-    j-th power of S(dt), consistent with the one-step recursion of the direct
-    pipeline; a diagonal one uses exp(-rate j dt) directly.
+    only nodes 0..N-1 of x are read.
     """
     n_lags = weights.size
+    lags = lag_operators(semigroup, dt, n_lags)
     values = np.zeros((x.shape[0], n_lags + 1, x.shape[2]))
-    if semigroup.is_diagonal:
-        lag_decay = np.exp(-np.outer(np.arange(1, n_lags + 1) * dt, semigroup.rates))
-        for j in range(1, n_lags + 1):
-            block = x[:, : n_lags - j + 1, :]
-            values[:, j:, :] += weights[j - 1] * (block * lag_decay[j - 1])
-    else:
-        step = operator_matrix(semigroup_eval(semigroup, dt))
-        power = step
-        for j in range(1, n_lags + 1):
-            block = x[:, : n_lags - j + 1, :]
-            values[:, j:, :] += weights[j - 1] * (block @ power.T)
-            power = power @ step
+    for j in range(1, n_lags + 1):
+        block = x[:, : n_lags - j + 1, :]
+        values[:, j:, :] += weights[j - 1] * apply_operator(lags[j], block)
     return values
 
 
@@ -188,19 +180,11 @@ def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
     n_paths, n_steps, dim_h = products.shape
     dt = req.noise.grid.dt
     values = np.zeros((n_paths, n_steps + 1, dim_h))
-    if req.semigroup.is_diagonal:
-        decay = np.exp(-req.semigroup.rates * dt)
-        state = np.zeros((n_paths, dim_h))
-        for k in range(n_steps):
-            state += products[:, k, :]
-            state *= decay
-            values[:, k + 1, :] = state
-    else:
-        step = operator_matrix(semigroup_eval(req.semigroup, dt))
-        state = np.zeros((n_paths, dim_h))
-        for k in range(n_steps):
-            state = (state + products[:, k, :]) @ step.T
-            values[:, k + 1, :] = state
+    step = lag_operators(req.semigroup, dt, 1)[1]
+    state = np.zeros((n_paths, dim_h))
+    for k in range(n_steps):
+        state = apply_operator(step, state + products[:, k, :])
+        values[:, k + 1, :] = state
     return PathEnsemble(values, req.noise.grid)
 
 

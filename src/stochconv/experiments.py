@@ -1,9 +1,10 @@
 """Named experiment presets executed by the command-line runner.
 
-Every preset consumes a validated ``ScenarioConfig``, writes deterministic
-artifacts (a schema-versioned JSON report plus plot-ready CSV files) into an
-output directory, and reports whether its invariant checks passed.  Artifacts
-contain no timestamps, so identical configs reproduce identical bytes.
+Every preset consumes a validated ``ScenarioConfig`` and returns its report
+fields, whether its invariant checks passed, and its plot-ready CSV tables;
+``run_experiment`` writes them as deterministic artifacts (a schema-versioned
+JSON report plus CSV files) into an output directory.  Artifacts contain no
+timestamps, so identical configs reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ import numpy as np
 
 from . import convolution as conv
 from . import measures
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _is_finite, _number, _positive_int, _positive_ints, _require
 from .errors import ConfigError, StochConvError
 from .fubini import FubiniFamily, fubini_report
-from .hilbert import SpectralOperator, operator_matrix, semigroup_eval
-from .ito import (
-    IntegrandSpec, export_paths_csv, ito_integrate, lr_path_norm, path_sup_norms,
-)
+from .hilbert import SpectralOperator
+from .ito import export_paths_csv, path_sup_norms
 from .noise import coarsen_increments, sample_increments
 from .norms import (
-    deterministic_lpq_norm,
     estimate_lpq,
     estimate_lpqr,
+    integral_norm_estimate,
     singular_kernel_field,
 )
 
@@ -122,7 +121,7 @@ def _mode_variance_closed_form(rates, q_eig, phi_eig, horizon: float) -> np.ndar
     return out
 
 
-def _variance_check(cfg: ScenarioConfig, out_dir: str):
+def _variance_check(cfg: ScenarioConfig):
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
     noise = _sample_noise(cfg)
     request = _request(cfg, noise, cfg.build_integrand(), cfg.build_semigroup())
@@ -139,36 +138,16 @@ def _variance_check(cfg: ScenarioConfig, out_dir: str):
     deviations = np.abs(estimates - closed)
     ok = bool(np.all(deviations <= tolerances))
 
-    report = _envelope(cfg)
-    report.update(
-        {
-            "n_paths": n,
-            "dt": cfg.grid.dt,
-            "modes": [
-                {
-                    "mode": k,
-                    "rate": rates[k],
-                    "q": q_eig[k],
-                    "estimate": estimates[k],
-                    "closed_form": closed[k],
-                    "se": ses[k],
-                    "tolerance": tolerances[k],
-                    "ok": bool(deviations[k] <= tolerances[k]),
-                }
-                for k in range(len(rates))
-            ],
-            "all_ok": ok,
-        }
-    )
-    write_json(os.path.join(out_dir, f"{cfg.experiment}_report.json"), report)
-    _write_csv(
-        os.path.join(out_dir, f"{cfg.experiment}_modes.csv"),
-        ["mode", "rate", "q", "estimate", "closed_form", "se", "tolerance"],
-        [
-            (k, rates[k], q_eig[k], estimates[k], closed[k], ses[k], tolerances[k])
-            for k in range(len(rates))
-        ],
-    )
+    header = ["mode", "rate", "q", "estimate", "closed_form", "se", "tolerance"]
+    rows = [
+        (k, rates[k], q_eig[k], estimates[k], closed[k], ses[k], tolerances[k])
+        for k in range(len(rates))
+    ]
+    modes = [
+        dict(zip(header, row), ok=bool(deviations[k] <= tolerances[k]))
+        for k, row in enumerate(rows)
+    ]
+    fields = {"n_paths": n, "dt": cfg.grid.dt, "modes": modes}
     # plot-ready variance-in-time curve for the first mode
     nodes = cfg.grid.nodes
     emp_curve = np.var(ensemble.values[:, :, 0], axis=0, ddof=1)
@@ -177,12 +156,14 @@ def _variance_check(cfg: ScenarioConfig, out_dir: str):
         closed_curve = f0 * f0 * q0 * nodes
     else:
         closed_curve = f0 * f0 * q0 * (1.0 - np.exp(-2.0 * lam0 * nodes)) / (2.0 * lam0)
-    _write_csv(
-        os.path.join(out_dir, f"{cfg.experiment}_mode0_curve.csv"),
-        ["t", "empirical_var", "closed_form_var"],
-        zip(nodes, emp_curve, closed_curve),
-    )
-    return report, ok
+    tables = {
+        f"{cfg.experiment}_modes.csv": (header, rows),
+        f"{cfg.experiment}_mode0_curve.csv": (
+            ["t", "empirical_var", "closed_form_var"],
+            zip(nodes, emp_curve, closed_curve),
+        ),
+    }
+    return fields, ok, tables
 
 
 def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
@@ -192,11 +173,15 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
     if kind != "scaled_constant":
         raise ConfigError(f"unknown family kind {kind!r}")
     if "quadrature" in spec:
-        rule = spec["quadrature"]
-        n_atoms = int(rule.get("n", 16))
-        lo, hi = rule.get("interval", [0.0, 1.0])
-        if n_atoms < 1 or hi <= lo:
-            raise ConfigError("family quadrature needs n >= 1 and a proper interval")
+        where = "options.family.quadrature"
+        quadrature = _require(spec, "quadrature", dict, "options.family")
+        rule = {"n": 16, "interval": [0.0, 1.0], **quadrature}
+        n_atoms = _positive_int(rule, "n", where)
+        interval = rule["interval"]
+        if not (isinstance(interval, list) and len(interval) == 2
+                and all(_is_finite(v) for v in interval) and interval[0] < interval[1]):
+            raise ConfigError(f"key 'interval' in {where} must be two finite numbers lo < hi")
+        lo, hi = interval
         h = (hi - lo) / n_atoms
         name = rule.get("rule", "midpoint")
         if name == "midpoint":
@@ -214,7 +199,7 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
     return FubiniFamily.from_factory(atoms, weights, lambda y: base.scaled(float(y)))
 
 
-def _run_fubini(cfg: ScenarioConfig, out_dir: str):
+def _run_fubini(cfg: ScenarioConfig):
     family = _build_family(cfg)
     noise = _sample_noise(cfg)
     report_obj = fubini_report(family, noise)
@@ -223,25 +208,15 @@ def _run_fubini(cfg: ScenarioConfig, out_dir: str):
     relative = headline / scale if scale > 0.0 else 0.0
     ok = relative <= 1e-10
 
-    report = _envelope(cfg)
-    report.update(
-        {
-            "headline": headline,
-            "per_node": list(report_obj.per_node_mean_abs),
-            "seed": cfg.seed,
-            "scale": scale,
-            "relative": relative,
-            "n_atoms": family.n_atoms,
-            "all_ok": ok,
-        }
-    )
-    write_json(os.path.join(out_dir, "fubini_report.json"), report)
-    _write_csv(
-        os.path.join(out_dir, "fubini_per_node.csv"),
-        ["t", "mean_abs_difference"],
-        zip(cfg.grid.nodes, report_obj.per_node_mean_abs),
-    )
-    return report, ok
+    fields = {
+        "headline": headline,
+        "per_node": list(report_obj.per_node_mean_abs),
+        "scale": scale,
+        "relative": relative,
+        "n_atoms": family.n_atoms,
+    }
+    per_node = zip(cfg.grid.nodes, report_obj.per_node_mean_abs)
+    return fields, ok, {"fubini_per_node.csv": (["t", "mean_abs_difference"], per_node)}
 
 
 def _holder_violations(rough, smoothed, semigroup, beta: float, r: float) -> int:
@@ -256,10 +231,11 @@ def _holder_violations(rough, smoothed, semigroup, beta: float, r: float) -> int
     return int(np.sum(sups > bound_factor * rough_norms + 1e-10))
 
 
-def _run_factorize_compare(cfg: ScenarioConfig, out_dir: str):
-    factors = cfg.options.get("refinement_factors", [4, 2, 1])
-    threshold = float(cfg.options.get("final_threshold", 0.05))
-    if sorted(factors, reverse=True) != list(factors) or factors[-1] != 1:
+def _run_factorize_compare(cfg: ScenarioConfig):
+    opts = {"refinement_factors": [4, 2, 1], "final_threshold": 0.05, **cfg.options}
+    factors = _positive_ints(opts, "refinement_factors", "options")
+    threshold = _number(opts, "final_threshold", "options")
+    if not factors or sorted(factors, reverse=True) != factors or factors[-1] != 1:
         raise ConfigError("refinement_factors must decrease to 1")
     fine_noise = _sample_noise(cfg)
     semigroup = cfg.build_semigroup()
@@ -269,6 +245,7 @@ def _run_factorize_compare(cfg: ScenarioConfig, out_dir: str):
     rows = []
     errors = []
     violations = 0
+    tables = {}
     for factor in factors:
         noise = coarsen_increments(fine_noise, factor)
         request = _request(cfg, noise, phi, semigroup)
@@ -280,38 +257,26 @@ def _run_factorize_compare(cfg: ScenarioConfig, out_dir: str):
         errors.append(err)
         violations += _holder_violations(rough, smoothed, semigroup, cfg.beta, cfg.r)
         rows.append((noise.grid.dt, noise.grid.n_steps, err, report_obj.sup_abs))
-        _write_csv(
-            os.path.join(out_dir, f"factorize_per_node_N{noise.grid.n_steps}.csv"),
+        tables[f"factorize_per_node_N{noise.grid.n_steps}.csv"] = (
             ["t", "mean_abs_difference"],
             zip(noise.grid.nodes, report_obj.per_node_mean_abs),
         )
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     ok = monotone and errors[-1] < threshold and violations == 0
 
-    report = _envelope(cfg)
-    report.update(
-        {
-            "resolutions": [
-                {"dt": row[0], "n_steps": row[1], "error": row[2], "sup_abs": row[3]}
-                for row in rows
-            ],
-            "monotone_decrease": monotone,
-            "final_error": errors[-1],
-            "final_threshold": threshold,
-            "holder_violations": violations,
-            "all_ok": ok,
-        }
-    )
-    write_json(os.path.join(out_dir, "factorize-compare_report.json"), report)
-    _write_csv(
-        os.path.join(out_dir, "factorize_errors.csv"),
-        ["dt", "n_steps", "error", "sup_abs"],
-        rows,
-    )
-    return report, ok
+    header = ["dt", "n_steps", "error", "sup_abs"]
+    fields = {
+        "resolutions": [dict(zip(header, row)) for row in rows],
+        "monotone_decrease": monotone,
+        "final_error": errors[-1],
+        "final_threshold": threshold,
+        "holder_violations": violations,
+    }
+    tables["factorize_errors.csv"] = (header, rows)
+    return fields, ok, tables
 
 
-def _run_constants(cfg: ScenarioConfig, out_dir: str):
+def _run_constants(cfg: ScenarioConfig):
     betas = cfg.options.get("betas", [round(0.1 * k, 1) for k in range(1, 10)])
     rows = []
     max_closed_diff = 0.0
@@ -328,113 +293,58 @@ def _run_constants(cfg: ScenarioConfig, out_dir: str):
         rows.append((beta, value, closed, abs(value - closed), abs(value - partner)))
     ok = max_closed_diff <= 1e-8 and max_sym_diff <= 1e-10 and max_unit_diff <= 1e-9
 
-    report = _envelope(cfg)
-    report.update(
-        {
-            "values": [
-                {"beta": row[0], "c_beta": row[1], "closed_form": row[2]} for row in rows
-            ],
-            "max_closed_form_diff": max_closed_diff,
-            "max_symmetry_diff": max_sym_diff,
-            "max_unit_product_diff": max_unit_diff,
-            "all_ok": ok,
-        }
-    )
-    write_json(os.path.join(out_dir, "constants_report.json"), report)
-    _write_csv(
-        os.path.join(out_dir, "constants_table.csv"),
-        ["beta", "c_beta", "closed_form", "closed_form_diff", "symmetry_diff"],
-        rows,
-    )
-    return report, ok
+    header = ["beta", "c_beta", "closed_form", "closed_form_diff", "symmetry_diff"]
+    fields = {
+        "values": [dict(zip(header[:3], row)) for row in rows],
+        "max_closed_form_diff": max_closed_diff,
+        "max_symmetry_diff": max_sym_diff,
+        "max_unit_product_diff": max_unit_diff,
+    }
+    return fields, ok, {"constants_table.csv": (header, rows)}
 
 
-def _slice_integrand(phi, semigroup, grid, beta: float, t_index: int) -> IntegrandSpec:
-    """Deterministic integrand s -> 1_{s<t} (t-s)^(-beta) S(t-s) Phi_s."""
-    n_steps = grid.n_steps
-    dt = grid.dt
-    base = operator_matrix(phi.constant) if phi.kind == "constant" else None
-    mats = np.zeros((n_steps, phi.codomain.dim, phi.domain.dim))
-    for i in range(t_index):
-        lag = (t_index - i) * dt
-        s_mat = operator_matrix(semigroup_eval(semigroup, lag))
-        phi_mat = base if base is not None else phi.node_matrices[i]
-        mats[i] = lag ** (-beta) * (s_mat @ phi_mat)
-    return IntegrandSpec.from_matrices(phi.domain, phi.codomain, mats)
-
-
-def _run_norms(cfg: ScenarioConfig, out_dir: str):
+def _run_norms(cfg: ScenarioConfig):
     noise = _sample_noise(cfg)
     semigroup = cfg.build_semigroup()
     phi = cfg.build_integrand()
-    weight = SpectralOperator(
-        cfg.space_u(), cfg.space_u(), np.asarray(cfg.q_eigenvalues, float)
-    )
+    weight = SpectralOperator(cfg.space_u(), cfg.space_u(), np.asarray(cfg.q_eigenvalues, float))
     request = _request(cfg, noise, phi, semigroup)
-    direct = conv.direct_convolution(request)
-    rough = conv.kernel_convolution(request)
-    smoothed = conv.factorization_smoothing(rough, semigroup, cfg.beta, cfg.r)
-
-    direct_lpq = estimate_lpq(direct, cfg.p, cfg.q, seed=cfg.seed + 1)
+    direct_lpq = estimate_lpq(conv.direct_convolution(request), cfg.p, cfg.q, seed=cfg.seed + 1)
+    smoothed = conv.factorized_convolution(request)
     smoothed_lrr = estimate_lpq(smoothed, cfg.r, cfg.r, seed=cfg.seed + 2)
     field = singular_kernel_field(phi, semigroup, cfg.grid, cfg.beta, weight=weight)
     field_norm = estimate_lpqr(field, cfg.p, cfg.q, cfg.r, seed=cfg.seed + 3)
+    j_estimate = integral_norm_estimate(phi, semigroup, noise, cfg.beta, cfg.q, cfg.r, weight)
 
-    # empirical norm of the integral operator over the singular slice battery
-    j_estimate = 0.0
-    for t_index in range(1, cfg.grid.n_steps + 1):
-        slice_phi = _slice_integrand(phi, semigroup, cfg.grid, cfg.beta, t_index)
-        slice_norm = deterministic_lpq_norm(slice_phi, cfg.grid, cfg.q, weight=weight)
-        if slice_norm == 0.0:
-            continue
-        slice_paths = ito_integrate(slice_phi, noise)
-        ratio = lr_path_norm(slice_paths, cfg.r).estimate / slice_norm
-        j_estimate = max(j_estimate, ratio)
-
-    bound = (
-        cfg.grid.horizon ** (1.0 / cfg.r)
-        * conv.c_beta(cfg.beta)
-        * semigroup.bound
-        * conv.smoothing_bound_factor(cfg.beta, cfg.r, cfg.grid.horizon)
-        * j_estimate
-    )
+    c_beta = conv.c_beta(cfg.beta)
+    time_factor = conv.smoothing_bound_factor(cfg.beta, cfg.r, cfg.grid.horizon)
+    bound = cfg.grid.horizon ** (1.0 / cfg.r) * c_beta * semigroup.bound * time_factor * j_estimate
     ratio = (
         smoothed_lrr.estimate / field_norm.estimate if field_norm.estimate > 0 else 0.0
     )
     ok = bool(np.isfinite(smoothed_lrr.estimate)) and ratio <= bound
 
-    report = _envelope(cfg)
-    report.update(
-        {
-            "direct_lpq": direct_lpq.to_json(),
-            "factorized_lrr": smoothed_lrr.to_json(),
-            "singular_field_lpqr": field_norm.to_json(),
-            "ratio": ratio,
-            "bound_constant": {
-                "c_beta": conv.c_beta(cfg.beta),
-                "semigroup_bound": semigroup.bound,
-                "time_factor": conv.smoothing_bound_factor(
-                    cfg.beta, cfg.r, cfg.grid.horizon
-                ),
-                "integral_norm_estimate": j_estimate,
-                "bound": bound,
-            },
-            "all_ok": ok,
-        }
-    )
-    write_json(os.path.join(out_dir, "norms_report.json"), report)
-    _write_csv(
-        os.path.join(out_dir, "norms_summary.csv"),
-        ["quantity", "estimate", "se"],
-        [
-            ("direct_lpq", direct_lpq.estimate, direct_lpq.standard_error),
-            ("factorized_lrr", smoothed_lrr.estimate, smoothed_lrr.standard_error),
-            ("singular_field_lpqr", field_norm.estimate, field_norm.standard_error),
-            ("ratio", ratio, 0.0),
-            ("bound", bound, 0.0),
-        ],
-    )
-    return report, ok
+    fields = {
+        "direct_lpq": direct_lpq.to_json(),
+        "factorized_lrr": smoothed_lrr.to_json(),
+        "singular_field_lpqr": field_norm.to_json(),
+        "ratio": ratio,
+        "bound_constant": {
+            "c_beta": c_beta,
+            "semigroup_bound": semigroup.bound,
+            "time_factor": time_factor,
+            "integral_norm_estimate": j_estimate,
+            "bound": bound,
+        },
+    }
+    summary = [
+        ("direct_lpq", direct_lpq.estimate, direct_lpq.standard_error),
+        ("factorized_lrr", smoothed_lrr.estimate, smoothed_lrr.standard_error),
+        ("singular_field_lpqr", field_norm.estimate, field_norm.standard_error),
+        ("ratio", ratio, 0.0),
+        ("bound", bound, 0.0),
+    ]
+    return fields, ok, {"norms_summary.csv": (["quantity", "estimate", "se"], summary)}
 
 
 def _random_kernel(rng) -> measures.KernelSpec:
@@ -448,8 +358,8 @@ def _random_kernel(rng) -> measures.KernelSpec:
     return measures.KernelSpec(base, tuple(range(n1)), masses)
 
 
-def _run_measure_props(cfg: ScenarioConfig, out_dir: str):
-    n_cases = int(cfg.options.get("n_cases", 1000))
+def _run_measure_props(cfg: ScenarioConfig):
+    n_cases = _positive_int({"n_cases": 1000, **cfg.options}, "n_cases", "options")
     rng = np.random.default_rng(cfg.seed)
     max_holder_excess = -np.inf
     max_minkowski_excess = -np.inf
@@ -476,26 +386,19 @@ def _run_measure_props(cfg: ScenarioConfig, out_dir: str):
     c11 = measures.holder_constant(_random_kernel(rng), 1.0, 1.0)
     ok = max_holder_excess <= 0.0 and max_minkowski_excess <= 0.0 and c11 == 1.0
 
-    report = _envelope(cfg)
-    report.update(
-        {
-            "n_cases": n_cases,
-            "max_holder_excess": max_holder_excess,
-            "max_minkowski_excess": max_minkowski_excess,
-            "c_1_1": c11,
-            "all_ok": ok,
-        }
-    )
-    write_json(os.path.join(out_dir, "measure-kernel-props_report.json"), report)
-    _write_csv(
-        os.path.join(out_dir, "measure-kernel-props_summary.csv"),
-        ["property", "worst_excess"],
-        [
-            ("holder_domination", max_holder_excess),
-            ("minkowski_integral", max_minkowski_excess),
-        ],
-    )
-    return report, ok
+    fields = {
+        "n_cases": n_cases,
+        "max_holder_excess": max_holder_excess,
+        "max_minkowski_excess": max_minkowski_excess,
+        "c_1_1": c11,
+    }
+    summary = [
+        ("holder_domination", max_holder_excess),
+        ("minkowski_integral", max_minkowski_excess),
+    ]
+    return fields, ok, {
+        "measure-kernel-props_summary.csv": (["property", "worst_excess"], summary)
+    }
 
 
 _RUNNERS = {
@@ -510,12 +413,22 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ScenarioConfig, out_dir: str):
-    """Run one named preset; returns (report dict, checks passed)."""
+    """Run one named preset and write its artifacts; returns (report dict, checks passed).
+
+    Each runner returns ``(fields, ok, tables)``; this function alone writes
+    ``{experiment}_report.json`` (the envelope, the fields and ``all_ok``) and
+    one CSV per ``tables`` entry ``name -> (header, rows)``.
+    """
     os.makedirs(out_dir, exist_ok=True)
     runner = _RUNNERS.get(cfg.experiment)
     if runner is None:
         raise ConfigError(f"no runner for experiment {cfg.experiment!r}")
-    return runner(cfg, out_dir)
+    fields, ok, tables = runner(cfg)
+    report = {**_envelope(cfg), **fields, "all_ok": ok}
+    write_json(os.path.join(out_dir, f"{cfg.experiment}_report.json"), report)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out_dir, name), header, rows)
+    return report, ok
 
 
 def run_convolve(cfg: ScenarioConfig, method: str, out_path: str, check: bool):

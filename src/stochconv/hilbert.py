@@ -25,6 +25,7 @@ __all__ = [
     "apply_operator",
     "hs_norm",
     "semigroup_eval",
+    "lag_operators",
     "operator_matrix",
     "identity_operator",
     "operator_from_json",
@@ -227,6 +228,25 @@ def semigroup_eval(sg: SemigroupSpec, t: float) -> Operator:
     if sg.is_diagonal:
         return SpectralOperator(sg.space, sg.space, np.exp(-sg.rates * t))
     return DenseOperator(sg.space, sg.space, expm(t * sg.generator))
+
+
+def lag_operators(sg: SemigroupSpec, dt: float, n_lags: int) -> list[Operator]:
+    """S(j dt) for j = 0..n_lags: the one place where lag values of S are decided.
+
+    Diagonal: ``SpectralOperator(exp(-rate j dt))``.  Dense: ``DenseOperator(S(dt)^j)``
+    by repeated ``power @ step``, matching the one-step recursion of the direct
+    convolution; it differs from expm(j dt A) by rounding that grows with j.
+    """
+    if sg.is_diagonal:
+        decay = np.exp(-np.outer(np.arange(n_lags + 1) * dt, sg.rates))
+        return [SpectralOperator(sg.space, sg.space, row) for row in decay]
+    step = operator_matrix(semigroup_eval(sg, dt))
+    power = np.eye(sg.space.dim)
+    table = []
+    for j in range(n_lags + 1):
+        table.append(DenseOperator(sg.space, sg.space, power))
+        power = step if j == 0 else power @ step
+    return table
 
 
 def operator_to_json(op: Operator) -> dict:

@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PredictabilityError, StochConvError
-from .hilbert import DenseOperator, HilbertSpec, Operator, SpectralOperator, operator_matrix
+from .hilbert import (
+    DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
+)
 from .noise import NoiseEnsemble, TimeGrid, sample_increments
 
 __all__ = [
@@ -181,9 +183,7 @@ def integrand_products(phi: IntegrandSpec, noise: NoiseEnsemble) -> np.ndarray:
     inc = noise.increments
     n_paths, n_steps, _ = inc.shape
     if phi.kind == CONSTANT:
-        if isinstance(phi.constant, SpectralOperator):
-            return inc * phi.constant.eigenvalues
-        return inc @ phi.constant.entries.T
+        return apply_operator(phi.constant, inc)
     if phi.kind == TIME_VARYING:
         if phi.node_matrices.shape[0] < n_steps:
             raise DimensionMismatchError(

@@ -12,6 +12,8 @@ uses u1 in (0, 1], so the sampled tail is capped at sqrt(-2 log 2^-53), about
 
 from __future__ import annotations
 
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,19 +235,31 @@ def save_increments(ensemble: NoiseEnsemble, file) -> None:
 
 
 def load_increments(file) -> np.ndarray:
-    """Read back an increment array written by ``save_increments``."""
+    """Read back an increment array written by ``save_increments``.
+
+    ``file`` is a path or a seekable binary file.  The header's dims are checked
+    against the bytes that remain before the payload is read.
+    """
     own = isinstance(file, (str, bytes))
     fh = open(file, "rb") if own else file
     try:
         magic = fh.read(len(_DUMP_MAGIC))
         if magic != _DUMP_MAGIC:
             raise StochConvError(f"bad magic {magic!r} in increment dump")
-        dims = np.frombuffer(fh.read(24), dtype="<u8")
-        count = int(np.prod(dims))
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
-            raise StochConvError("truncated increment dump")
-        return data.reshape(tuple(int(d) for d in dims)).copy()
+        header = fh.read(24)
+        if len(header) != 24:
+            raise StochConvError("truncated increment dump header")
+        shape = tuple(int(d) for d in np.frombuffer(header, dtype="<u8"))
+        n_bytes = 8 * math.prod(shape)  # Python ints: no uint64 wrap-around
+        start = fh.tell()
+        remaining = fh.seek(0, io.SEEK_END) - start
+        fh.seek(start)
+        if n_bytes == 0 or n_bytes > remaining:
+            raise StochConvError(
+                f"increment dump header {shape} needs {n_bytes} bytes, {remaining} remain"
+            )
+        data = np.frombuffer(fh.read(n_bytes), dtype="<f8")
+        return data.reshape(shape).copy()
     finally:
         if own:
             fh.close()

@@ -17,9 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, StochConvError
-from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, operator_matrix, semigroup_eval
-from .ito import CONSTANT, TIME_VARYING, NormReport
-from .noise import TimeGrid
+from .hilbert import (
+    SemigroupSpec, SpectralOperator, apply_operator, hs_norm, lag_operators, operator_matrix,
+)
+from .ito import CONSTANT, TIME_VARYING, IntegrandSpec, NormReport, ito_integrate, lr_path_norm
+from .noise import NoiseEnsemble, TimeGrid
 
 __all__ = [
     "TwoParameterField",
@@ -27,6 +29,7 @@ __all__ = [
     "estimate_lpqr",
     "singular_kernel_field",
     "deterministic_lpq_norm",
+    "integral_norm_estimate",
 ]
 
 
@@ -143,6 +146,19 @@ def estimate_lpqr(
     return NormReport(estimate, se, p=p, q=q, r=r, n_paths=n_paths, n_boot=n_boot)
 
 
+def _node_matrices(phi, n_nodes: int) -> np.ndarray:
+    """Phi_{t_i} for i < n_nodes; a time-varying integrand one node short repeats its last."""
+    if phi.kind == CONSTANT:
+        return np.broadcast_to(
+            operator_matrix(phi.constant), (n_nodes, phi.codomain.dim, phi.domain.dim)
+        )
+    if phi.kind != TIME_VARYING:
+        raise StochConvError("field construction requires a deterministic integrand")
+    if phi.node_matrices.shape[0] < n_nodes:
+        return np.concatenate([phi.node_matrices, phi.node_matrices[-1:]], axis=0)
+    return phi.node_matrices[:n_nodes]
+
+
 def singular_kernel_field(
     phi,
     semigroup: SemigroupSpec,
@@ -157,46 +173,24 @@ def singular_kernel_field(
     Hilbert-Schmidt norm.  The returned field has a single path since the
     expectation of a deterministic integrand is trivial.
     """
-    if phi.kind not in (CONSTANT, TIME_VARYING):
-        raise StochConvError("field construction requires a deterministic integrand")
-    if not 0.0 <= beta < 1.0:
-        raise StochConvError(f"beta must lie in [0, 1), got {beta}")
     n_nodes = grid.n_steps + 1
     n_lags = grid.n_steps
-    if phi.kind == CONSTANT:
-        mats = np.broadcast_to(
-            operator_matrix(phi.constant), (n_nodes, phi.codomain.dim, phi.domain.dim)
-        )
-    else:
-        if phi.node_matrices.shape[0] < n_nodes:
-            mats = np.concatenate(
-                [phi.node_matrices, phi.node_matrices[-1:]], axis=0
-            )
-        else:
-            mats = phi.node_matrices[:n_nodes]
+    # the columns Phi_s e_u as vectors: axis 1 is u, the last axis is H
+    columns = np.swapaxes(_node_matrices(phi, n_nodes), 1, 2)
+    if not 0.0 <= beta < 1.0:
+        raise StochConvError(f"beta must lie in [0, 1), got {beta}")
     q = np.ones(phi.domain.dim) if weight is None else weight.eigenvalues
     if np.any(q < 0.0):
         raise StochConvError("weight eigenvalues must be nonnegative")
-    lags = np.arange(1, n_lags + 1) * grid.dt
-    kernel = lags ** (-beta) if beta > 0.0 else np.ones(n_lags)
+    lag_times = np.arange(1, n_lags + 1) * grid.dt
+    kernel = lag_times ** (-beta) if beta > 0.0 else np.ones(n_lags)
+    lags = lag_operators(semigroup, grid.dt, n_lags)
     mags = np.zeros((1, n_nodes, n_nodes))
-    if semigroup.is_diagonal:
-        # |S(lag) M Q^(1/2)|_HS^2 = sum_h exp(-2 rate_h lag) * sum_u M[h,u]^2 q_u
-        row_mass = np.einsum("shu,u->sh", mats**2, q)
-        decay = np.exp(-2.0 * np.outer(lags, semigroup.rates))
-        hs = np.sqrt(row_mass @ decay.T)  # (s, lag)
-        for j in range(1, n_lags + 1):
-            mags[0, : n_nodes - j, j:][np.diag_indices(n_nodes - j)] = (
-                kernel[j - 1] * hs[: n_nodes - j, j - 1]
-            )
-    else:
-        for j in range(1, n_lags + 1):
-            s_mat = operator_matrix(semigroup_eval(semigroup, lags[j - 1]))
-            prod = np.einsum("hg,sgu->shu", s_mat, mats[: n_nodes - j])
-            hs = np.sqrt(np.einsum("shu,u->s", prod**2, q))
-            mags[0, : n_nodes - j, j:][np.diag_indices(n_nodes - j)] = (
-                kernel[j - 1] * hs
-            )
+    for j in range(1, n_lags + 1):
+        # |S(j dt) Phi_s Q^(1/2)|_HS^2 = sum_u q_u |S(j dt) Phi_s e_u|^2
+        prod = apply_operator(lags[j], columns[: n_nodes - j])
+        hs = np.sqrt(np.einsum("suh,u->s", prod**2, q))
+        mags[0, : n_nodes - j, j:][np.diag_indices(n_nodes - j)] = kernel[j - 1] * hs
     return TwoParameterField(mags, grid)
 
 
@@ -220,3 +214,35 @@ def deterministic_lpq_norm(
     mats = phi.node_matrices[: grid.n_steps]
     hs = np.sqrt(np.einsum("ihu,u->i", mats**2, q))
     return float((np.sum(hs**q_exponent) * grid.dt) ** (1.0 / q_exponent))
+
+
+def integral_norm_estimate(
+    phi, semigroup: SemigroupSpec, noise: NoiseEnsemble, beta: float, q_exponent: float,
+    r: float, weight: SpectralOperator | None = None,
+) -> float:
+    """Empirical norm of the Ito integral operator over the singular slice battery.
+
+    Slice k is the deterministic integrand s -> 1_{s<t_k} (t_k-s)^(-beta) S(t_k-s) Phi_s,
+    gathered from one lag table.  Returns the largest ratio, over k = 1..N, of the
+    L^r path norm of its Ito integral to its L^q time norm (0 if every slice vanishes).
+    """
+    grid = noise.grid
+    n_steps, dt = grid.n_steps, grid.dt
+    nodes = _node_matrices(phi, n_steps + 1)[:n_steps]
+    lag_mats = np.stack([operator_matrix(op) for op in lag_operators(semigroup, dt, n_steps)])
+    # scalar pow: numpy's vectorised pow can differ from it in the last bit
+    kernel = np.array([(j * dt) ** (-beta) for j in range(1, n_steps + 1)])
+    estimate = 0.0
+    for t_index in range(1, n_steps + 1):
+        mats = np.zeros((n_steps, phi.codomain.dim, phi.domain.dim))
+        # node i < t_index sits at lag t_index - i
+        mats[:t_index] = kernel[t_index - 1 :: -1, None, None] * (
+            lag_mats[t_index:0:-1] @ nodes[:t_index]
+        )
+        slice_phi = IntegrandSpec.from_matrices(phi.domain, phi.codomain, mats)
+        slice_norm = deterministic_lpq_norm(slice_phi, grid, q_exponent, weight=weight)
+        if slice_norm == 0.0:
+            continue
+        ratio = lr_path_norm(ito_integrate(slice_phi, noise), r).estimate / slice_norm
+        estimate = max(estimate, ratio)
+    return estimate

@@ -107,6 +107,21 @@ def test_config_hash_is_canonical():
         pytest.param(lambda d: d["exponents"].update(q=math.inf), "exponents.q", id="q-exp-inf"),
         pytest.param(lambda d: d["exponents"].update(r=math.inf), "exponents.r", id="r-inf"),
         pytest.param(lambda d: d.update(beta=math.nan), "beta", id="beta-nan"),
+        pytest.param(
+            lambda d: d.update(semigroup={"kind": "dense", "generator": [1]}),
+            "generator",
+            id="generator-row-not-list",
+        ),
+        pytest.param(
+            lambda d: d["integrand"].update(operator={"kind": "dense", "rows": [1]}),
+            "rows",
+            id="rows-row-not-list",
+        ),
+        pytest.param(lambda d: d["grid"].update(T=10**400), "grid.T", id="T-int-overflow"),
+        pytest.param(
+            lambda d: d["semigroup"].update(rates=[10**400]), "rates", id="rates-int-overflow"
+        ),
+        pytest.param(lambda d: d.update(seed=2**64), "seed", id="seed-2pow64"),
     ],
 )
 def test_schema_violations_raise_config_error(mutate, fragment):
@@ -269,3 +284,48 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert rc.returncode == 0
     assert "constants" in rc.stdout
+
+
+def test_cli_seed_override_beyond_uint64_exits_one(tmp_path, capsys):
+    cfg_path = _write(tmp_path, _base_config())
+    rc = main(["ou-check", "--config", cfg_path, "--out", str(tmp_path),
+               "--seed", "18446744073709551616"])
+    assert rc == 1
+    assert "seed" in capsys.readouterr().err
+
+
+def _with_options(experiment, options):
+    data = _base_config()
+    data.update(experiment=experiment, options=options, n_paths=10, grid={"T": 1.0, "N": 8})
+    return data
+
+
+@pytest.mark.parametrize(
+    "experiment,options,key",
+    [
+        pytest.param(
+            "fubini", {"family": {"quadrature": {"n": "abc"}}}, "n", id="quadrature-n"
+        ),
+        pytest.param(
+            "fubini",
+            {"family": {"quadrature": {"n": 4, "interval": [0.0, math.inf]}}},
+            "interval",
+            id="quadrature-interval",
+        ),
+        pytest.param("measure-kernel-props", {"n_cases": "x"}, "n_cases", id="n_cases"),
+        pytest.param(
+            "factorize-compare", {"final_threshold": "x"}, "final_threshold", id="final_threshold"
+        ),
+        pytest.param(
+            "factorize-compare",
+            {"refinement_factors": [4, 2.5, 1]},
+            "refinement_factors",
+            id="refinement_factors",
+        ),
+    ],
+)
+def test_cli_bad_experiment_option_exits_one(tmp_path, capsys, experiment, options, key):
+    data = _with_options(experiment, options)
+    rc = main([experiment, "--config", _write(tmp_path, data), "--out", str(tmp_path)])
+    assert rc == 1
+    assert repr(key) in capsys.readouterr().err

@@ -18,6 +18,7 @@ from stochconv import (
 )
 from stochconv.hilbert import (
     identity_operator,
+    lag_operators,
     operator_from_json,
     operator_matrix,
     operator_to_json,
@@ -152,6 +153,52 @@ def test_dense_generator_matches_diagonal_case(rng):
         a = np.diag(semigroup_eval(diag_sg, t).eigenvalues)
         b = operator_matrix(semigroup_eval(dense_sg, t))
         assert np.max(np.abs(a - b)) <= 1e-10
+
+
+@given(
+    rates=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5),
+    dt=st.floats(1e-4, 0.5),
+    n_lags=st.integers(0, 50),
+)
+@settings(max_examples=100, deadline=None)
+def test_diagonal_lag_operators_equal_semigroup_eval_bitwise(rates, dt, n_lags):
+    sg = SemigroupSpec(HilbertSpec(len(rates)), rates=rates, horizon=1.0)
+    lags = lag_operators(sg, dt, n_lags)
+    assert len(lags) == n_lags + 1
+    for j, op in enumerate(lags):
+        assert isinstance(op, SpectralOperator)
+        assert op.eigenvalues.tobytes() == semigroup_eval(sg, j * dt).eigenvalues.tobytes()
+
+
+@given(
+    entries=st.lists(st.floats(-5.0, 5.0), min_size=16, max_size=16),
+    dim=st.integers(1, 4),
+    upper=st.booleans(),
+    dt=st.floats(1e-3, 0.1),
+    n_lags=st.integers(1, 50),
+)
+@settings(max_examples=100, deadline=None)
+def test_dense_lag_operators_match_expm_within_j_scaled_tolerance(
+    entries, dim, upper, dt, n_lags
+):
+    gen = np.array(entries).reshape(4, 4)[:dim, :dim]
+    if upper:  # non-normal: a triangular generator with a nonzero strict upper part
+        gen = np.triu(gen)
+    sg = SemigroupSpec(HilbertSpec(dim), generator=gen, horizon=1.0)
+    lags = lag_operators(sg, dt, n_lags)
+    assert np.array_equal(operator_matrix(lags[0]), np.eye(dim))
+    assert np.array_equal(operator_matrix(lags[1]), operator_matrix(semigroup_eval(sg, dt)))
+    # the j-fold product of S(dt) accumulates rounding like j d eps |S(dt)|^j, and
+    # expm(j dt A) carries an error growing with |j dt A|; the factor 256 is a
+    # 5x margin over the worst ratio seen in 300k random comparisons
+    growth = max(1.0, np.linalg.norm(np.abs(operator_matrix(lags[1])), 2))
+    gen_norm = np.linalg.norm(gen, 2)
+    eps = np.finfo(float).eps
+    for j in range(1, n_lags + 1):
+        assert isinstance(lags[j], DenseOperator)
+        err = np.max(np.abs(operator_matrix(lags[j]) - operator_matrix(semigroup_eval(sg, j * dt))))
+        tol = 256 * dim * j * eps * (1.0 + j * dt * gen_norm) * growth**j
+        assert err <= tol, (j, err, tol)
 
 
 def test_norm_bound_random_battery(rng):

@@ -155,6 +155,39 @@ def test_dump_rejects_bad_magic():
         load_increments(io.BytesIO(b"NOTMAGIC" + b"\0" * 48))
 
 
+class _ReadRecorder(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize(
+    "dims,payload_floats",
+    [
+        pytest.param((0, 5, 3), 0, id="zero-dim"),
+        pytest.param((2**63, 2**63, 4), 4, id="product-overflows-uint64"),
+        pytest.param((2**40, 2**20, 1), 4, id="huge-count"),
+        pytest.param((4, 7, 3), 10, id="more-bytes-than-remain"),
+    ],
+)
+def test_dump_header_is_checked_before_reading(dims, payload_floats):
+    header = np.array(dims, dtype="<u8").tobytes()
+    dump = _ReadRecorder(b"QWIENER1" + header + b"\0" * (8 * payload_floats))
+    with pytest.raises(StochConvError):
+        load_increments(dump)
+    # nothing past the 24-byte header was requested
+    assert all(0 <= size <= 24 for size in dump.sizes)
+
+
+def test_dump_rejects_truncated_header():
+    with pytest.raises(StochConvError):
+        load_increments(io.BytesIO(b"QWIENER1" + b"\0" * 10))
+
+
 def test_gaussian_moments_sane():
     z = standard_gaussians(5, np.zeros(200_000, dtype=np.uint64), np.arange(200_000, dtype=np.uint64), 0)
     n = z.size

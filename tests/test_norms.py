@@ -24,8 +24,8 @@ from stochconv import (
     sample_increments,
 )
 from stochconv.convolution import smoothing_bound_factor
-from stochconv.experiments import _slice_integrand
-from stochconv.norms import deterministic_lpq_norm, singular_kernel_field
+from stochconv.hilbert import operator_matrix, semigroup_eval
+from stochconv.norms import deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field
 
 
 def _constant_ensemble(value, n_paths=5, n_steps=8, horizon=1.0, dim=1):
@@ -194,14 +194,7 @@ def test_factorized_norm_ratio_below_bound_constant():
     denominator = estimate_lpqr(field, p, q, r, n_boot=0).estimate
     assert np.isfinite(numerator)
 
-    j_estimate = 0.0
-    for t_ix in range(1, n_steps + 1):
-        slice_phi = _slice_integrand(phi, sg, grid, beta, t_ix)
-        slice_norm = deterministic_lpq_norm(slice_phi, grid, q, weight=weight)
-        if slice_norm == 0.0:
-            continue
-        ratio = lr_path_norm(ito_integrate(slice_phi, noise), r).estimate / slice_norm
-        j_estimate = max(j_estimate, ratio)
+    j_estimate = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
 
     bound = (
         grid.horizon ** (1.0 / r)
@@ -211,3 +204,42 @@ def test_factorized_norm_ratio_below_bound_constant():
         * j_estimate
     )
     assert numerator / denominator <= bound
+
+
+def _slice_battery_oracle(phi_mats, sg, noise, beta, q, r, weight):
+    """The battery with S(t_k - s_i) from ``semigroup_eval`` for every (k, i) pair."""
+    grid = noise.grid
+    space_u, space_h = noise.spec.space, sg.space
+    best = 0.0
+    for k in range(1, grid.n_steps + 1):
+        mats = np.zeros((grid.n_steps, space_h.dim, space_u.dim))
+        for i in range(k):
+            lag = (k - i) * grid.dt
+            mats[i] = lag ** (-beta) * (operator_matrix(semigroup_eval(sg, lag)) @ phi_mats[i])
+        slice_phi = IntegrandSpec.from_matrices(space_u, space_h, mats)
+        norm = deterministic_lpq_norm(slice_phi, grid, q, weight=weight)
+        if norm > 0.0:
+            best = max(best, lr_path_norm(ito_integrate(slice_phi, noise), r).estimate / norm)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_integral_norm_estimate_matches_per_pair_oracle(rng, kind):
+    dim, n_steps, beta, q, r = 3, 12, 0.3, 2.0, 4.0
+    space = HilbertSpec(dim)
+    grid = TimeGrid(1.0, n_steps)
+    rates = np.array([0.5, 1.0, 3.0])
+    if kind == "diagonal":
+        sg = SemigroupSpec(space, rates=rates, horizon=1.0)
+    else:  # non-normal: strict upper coupling on top of the diagonal decay
+        sg = SemigroupSpec(space, generator=np.triu(rng.normal(size=(3, 3)), 1) - np.diag(rates))
+    phi_mats = rng.normal(size=(n_steps, dim, dim))
+    phi = IntegrandSpec.from_matrices(space, space, phi_mats)
+    weight = SpectralOperator(space, space, [1.0, 0.5, 0.25])
+    noise = sample_increments(QWienerSpec(space, [1.0, 0.5, 0.25]), grid, 4, 30)
+    got = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
+    oracle = _slice_battery_oracle(phi_mats, sg, noise, beta, q, r, weight)
+    if kind == "diagonal":
+        assert got == oracle
+    else:  # S(dt)^j against expm(j dt A): rounding only
+        assert got == pytest.approx(oracle, rel=1e-12)
