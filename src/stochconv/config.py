@@ -1,4 +1,7 @@
-"""Scenario configuration: JSON schema, validation and canonical hashing."""
+"""Scenario configuration: the only reader of the JSON schema, and canonical hashing.
+
+Each section is checked, then built into the object that runners read.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .hilbert import HilbertSpec, SemigroupSpec, operator_from_json
+from .hilbert import DenseOperator, HilbertSpec, Operator, SemigroupSpec, SpectralOperator
 from .ito import IntegrandSpec
 from .noise import QWienerSpec, TimeGrid
 
@@ -58,18 +61,22 @@ def _number(data: dict, key: str, where: str) -> float:
     return float(value)
 
 
-def _finite(values: list, key: str, where: str) -> None:
-    """Reject any entry of a list, or of its row lists, that is not a finite number."""
-    flat = [v for item in values for v in (item if isinstance(item, list) else [item])]
-    if not all(_is_finite(v) for v in flat):
+def _finite(values: list, key: str, where: str) -> np.ndarray:
+    """A flat list of finite numbers as a float array."""
+    if not all(_is_finite(v) for v in values):
         raise ConfigError(f"key {key!r} in {where} must hold finite numbers")
+    return np.asarray(values, float)
 
 
-def _matrix(data: dict, key: str, n_rows: int, n_cols: int, where: str) -> None:
+def _numbers(data: dict, key: str, where: str) -> np.ndarray:
+    return _finite(_require(data, key, list, where), key, where)
+
+
+def _matrix(data: dict, key: str, n_rows: int, n_cols: int, where: str) -> np.ndarray:
     rows = _require(data, key, list, where)
     if len(rows) != n_rows or any(not isinstance(row, list) or len(row) != n_cols for row in rows):
         raise ConfigError(f"key {key!r} in {where} must be a {n_rows} x {n_cols} list of rows")
-    _finite(rows, key, where)
+    return _finite([v for row in rows for v in row], key, where).reshape(n_rows, n_cols)
 
 
 def _positive_int(data: dict, key: str, where: str) -> int:
@@ -88,15 +95,13 @@ def _positive_ints(data: dict, key: str, where: str) -> list:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario parameters plus experiment-specific options."""
+    """Built scenario objects (U = noise_spec.space, H = semigroup.space) plus options."""
 
     experiment: str
-    dim_u: int
-    dim_h: int
     grid: TimeGrid
-    semigroup_json: dict
-    q_eigenvalues: tuple
-    integrand_json: dict
+    semigroup: SemigroupSpec
+    noise_spec: QWienerSpec
+    integrand: IntegrandSpec
     p: float
     q: float
     r: float
@@ -113,95 +118,77 @@ class ScenarioConfig:
         payload = {k: v for k, v in self.raw.items() if k != "workers"}
         return canonical_hash(payload)
 
-    def space_u(self) -> HilbertSpec:
-        return HilbertSpec(self.dim_u, "U")
 
-    def space_h(self) -> HilbertSpec:
-        return HilbertSpec(self.dim_h, "H")
-
-    def build_semigroup(self) -> SemigroupSpec:
-        data = self.semigroup_json
-        kind = data.get("kind")
-        if kind == "diagonal":
-            return SemigroupSpec(
-                self.space_h(),
-                rates=np.asarray(data["rates"], float),
-                horizon=self.grid.horizon,
-            )
-        if kind == "dense":
-            return SemigroupSpec(
-                self.space_h(),
-                generator=np.asarray(data["generator"], float),
-                horizon=self.grid.horizon,
-            )
-        raise ConfigError(f"unknown semigroup kind {kind!r}")
-
-    def build_noise_spec(self) -> QWienerSpec:
-        return QWienerSpec(self.space_u(), np.asarray(self.q_eigenvalues, float))
-
-    def build_integrand(self) -> IntegrandSpec:
-        data = self.integrand_json
-        kind = data.get("kind")
-        if kind == "constant":
-            op = operator_from_json(data["operator"], self.space_u(), self.space_h())
-            return IntegrandSpec.from_constant(op)
-        if kind == "time_varying":
-            ops = [
-                operator_from_json(entry, self.space_u(), self.space_h())
-                for entry in data["operators"]
-            ]
-            return IntegrandSpec.from_operators(ops)
-        raise ConfigError(f"unknown integrand kind {kind!r}")
-
-
-def _validate_semigroup(data: dict, dim_h: int):
+def _semigroup(data: dict, space: HilbertSpec, horizon: float) -> SemigroupSpec:
     kind = _require(data, "kind", str, "semigroup")
     if kind == "diagonal":
         rates = _require(data, "rates", list, "semigroup")
-        if len(rates) != dim_h:
+        if len(rates) != space.dim:
             raise ConfigError(
-                f"semigroup rates length {len(rates)} must equal dims.H={dim_h}"
+                f"semigroup rates length {len(rates)} must equal dims.H={space.dim}"
             )
-        _finite(rates, "rates", "semigroup")
-        if any(v < 0 for v in rates):
+        rates = _finite(rates, "rates", "semigroup")
+        if np.any(rates < 0):
             raise ConfigError("semigroup rates must be nonnegative numbers")
-    elif kind == "dense":
-        _matrix(data, "generator", dim_h, dim_h, "semigroup")
-    else:
-        raise ConfigError(f"semigroup kind must be diagonal or dense, got {kind!r}")
+        return SemigroupSpec(space, rates=rates, horizon=horizon)
+    if kind == "dense":
+        generator = _matrix(data, "generator", space.dim, space.dim, "semigroup")
+        semigroup = SemigroupSpec(space, generator=generator, horizon=horizon)
+        if not math.isfinite(semigroup.bound):
+            raise ConfigError(
+                "key 'generator' in semigroup gives no finite bound on |S(t)| over [0, grid.T]"
+            )
+        return semigroup
+    raise ConfigError(f"semigroup kind must be diagonal or dense, got {kind!r}")
 
 
-def _validate_integrand(data: dict, dim_u: int, dim_h: int):
+def _integrand(data: dict, space_u: HilbertSpec, space_h: HilbertSpec, n_steps: int):
     kind = _require(data, "kind", str, "integrand")
     if kind == "constant":
-        _validate_operator(_require(data, "operator", dict, "integrand"), dim_u, dim_h)
-    elif kind == "time_varying":
+        operator = _require(data, "operator", dict, "integrand")
+        return IntegrandSpec.from_constant(_operator(operator, space_u, space_h))
+    if kind == "time_varying":
         ops = _require(data, "operators", list, "integrand")
         if not ops:
             raise ConfigError("time_varying integrand needs at least one operator")
-        for entry in ops:
-            _validate_operator(entry, dim_u, dim_h)
-    else:
-        raise ConfigError(f"integrand kind must be constant or time_varying, got {kind!r}")
+        if not all(isinstance(op, dict) for op in ops):
+            raise ConfigError("key 'operators' in integrand must hold operator objects")
+        if len(ops) < n_steps:
+            raise ConfigError(
+                f"key 'operators' in integrand has {len(ops)} entries; "
+                f"time_varying needs one per step, grid.N={n_steps}"
+            )
+        return IntegrandSpec.from_operators([_operator(op, space_u, space_h) for op in ops])
+    raise ConfigError(f"integrand kind must be constant or time_varying, got {kind!r}")
 
 
-def _validate_operator(data: dict, dim_u: int, dim_h: int):
+def _operator(data: dict, space_u: HilbertSpec, space_h: HilbertSpec) -> Operator:
     kind = _require(data, "kind", str, "operator")
     if kind == "diagonal":
         eig = _require(data, "eigenvalues", list, "operator")
-        if dim_u != dim_h:
+        if space_u.dim != space_h.dim:
             raise ConfigError("diagonal operator requires dims.U == dims.H")
-        if len(eig) != dim_u:
-            raise ConfigError(f"operator eigenvalue count {len(eig)} must equal {dim_u}")
-        _finite(eig, "eigenvalues", "operator")
-    elif kind == "dense":
-        _matrix(data, "rows", dim_h, dim_u, "operator")
-    else:
-        raise ConfigError(f"operator kind must be diagonal or dense, got {kind!r}")
+        if len(eig) != space_u.dim:
+            raise ConfigError(f"operator eigenvalue count {len(eig)} must equal {space_u.dim}")
+        return SpectralOperator(space_u, space_h, _finite(eig, "eigenvalues", "operator"))
+    if kind == "dense":
+        rows = _matrix(data, "rows", space_h.dim, space_u.dim, "operator")
+        return DenseOperator(space_u, space_h, rows)
+    raise ConfigError(f"operator kind must be diagonal or dense, got {kind!r}")
+
+
+def _noise_spec(data: dict, space_u: HilbertSpec) -> QWienerSpec:
+    q_eig = _require(data, "q_eigenvalues", list, "config")
+    if len(q_eig) != space_u.dim:
+        raise ConfigError(f"q_eigenvalues length {len(q_eig)} must equal dims.U={space_u.dim}")
+    q_eig = _finite(q_eig, "q_eigenvalues", "config")
+    if np.any(q_eig < 0):
+        raise ConfigError("q_eigenvalues must be nonnegative numbers")
+    return QWienerSpec(space_u, q_eig)
 
 
 def parse_config(data: dict) -> ScenarioConfig:
-    """Validate a raw config dict and freeze it into a ``ScenarioConfig``.
+    """Validate a raw config dict and build its objects into a ``ScenarioConfig``.
 
     Raises:
       ConfigError: on any schema violation; the message names the bad key.
@@ -214,23 +201,16 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
         )
     dims = _require(data, "dims", dict, "config")
-    dim_u = _positive_int(dims, "U", "dims")
-    dim_h = _positive_int(dims, "H", "dims")
+    space_u = HilbertSpec(_positive_int(dims, "U", "dims"), "U")
+    space_h = HilbertSpec(_positive_int(dims, "H", "dims"), "H")
     grid_data = _require(data, "grid", dict, "config")
     horizon = _number(grid_data, "T", "grid")
     if horizon <= 0:
         raise ConfigError("grid.T must be positive")
     n_steps = _positive_int(grid_data, "N", "grid")
-    semigroup = _require(data, "semigroup", dict, "config")
-    _validate_semigroup(semigroup, dim_h)
-    q_eig = _require(data, "q_eigenvalues", list, "config")
-    if len(q_eig) != dim_u:
-        raise ConfigError(f"q_eigenvalues length {len(q_eig)} must equal dims.U={dim_u}")
-    _finite(q_eig, "q_eigenvalues", "config")
-    if any(v < 0 for v in q_eig):
-        raise ConfigError("q_eigenvalues must be nonnegative numbers")
-    integrand = _require(data, "integrand", dict, "config")
-    _validate_integrand(integrand, dim_u, dim_h)
+    semigroup = _semigroup(_require(data, "semigroup", dict, "config"), space_h, horizon)
+    noise_spec = _noise_spec(data, space_u)
+    integrand = _integrand(_require(data, "integrand", dict, "config"), space_u, space_h, n_steps)
     expo = _require(data, "exponents", dict, "config")
     p = _number(expo, "p", "exponents")
     q = _number(expo, "q", "exponents")
@@ -256,12 +236,10 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError("options must be an object")
     return ScenarioConfig(
         experiment=experiment,
-        dim_u=dim_u,
-        dim_h=dim_h,
         grid=TimeGrid(horizon, n_steps),
-        semigroup_json=semigroup,
-        q_eigenvalues=tuple(float(v) for v in q_eig),
-        integrand_json=integrand,
+        semigroup=semigroup,
+        noise_spec=noise_spec,
+        integrand=integrand,
         p=p,
         q=q,
         r=r,
@@ -275,7 +253,7 @@ def parse_config(data: dict) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Load and validate a scenario config file.
+    """Load a scenario config file and parse it.
 
     Raises:
       ConfigError: unreadable file, invalid JSON, or schema violation.

@@ -56,8 +56,6 @@ class ConvolutionRequest:
     noise: NoiseEnsemble
     beta: float = 0.5
     r: float = 2.0
-    p: float = 2.0
-    q: float = 2.0
 
     def __post_init__(self):
         if self.phi.codomain.dim != self.semigroup.space.dim:
@@ -76,8 +74,6 @@ class ConvolutionRequest:
             raise StochConvError(f"beta must lie in [0, 1), got {self.beta}")
         if self.r <= 1.0:
             raise StochConvError(f"r must be > 1, got {self.r}")
-        if self.p < 1.0 or self.q < 1.0:
-            raise StochConvError(f"p, q must be >= 1, got p={self.p}, q={self.q}")
 
 
 @dataclass(frozen=True)

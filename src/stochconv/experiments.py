@@ -17,7 +17,9 @@ import numpy as np
 
 from . import convolution as conv
 from . import measures
-from .config import ScenarioConfig, _is_finite, _number, _positive_int, _positive_ints, _require
+from .config import (
+    ScenarioConfig, _is_finite, _number, _numbers, _positive_int, _positive_ints, _require,
+)
 from .errors import ConfigError, StochConvError
 from .fubini import FubiniFamily, fubini_report
 from .hilbert import SpectralOperator
@@ -80,7 +82,7 @@ def _envelope(cfg: ScenarioConfig) -> dict:
 
 def _sample_noise(cfg: ScenarioConfig, seed=None):
     return sample_increments(
-        cfg.build_noise_spec(),
+        cfg.noise_spec,
         cfg.grid,
         cfg.seed if seed is None else seed,
         cfg.n_paths,
@@ -88,26 +90,21 @@ def _sample_noise(cfg: ScenarioConfig, seed=None):
     )
 
 
-def _request(cfg: ScenarioConfig, noise, phi, semigroup) -> conv.ConvolutionRequest:
+def _request(cfg: ScenarioConfig, noise) -> conv.ConvolutionRequest:
     return conv.ConvolutionRequest(
-        phi=phi, semigroup=semigroup, noise=noise,
-        beta=cfg.beta, r=cfg.r, p=cfg.p, q=cfg.q,
+        phi=cfg.integrand, semigroup=cfg.semigroup, noise=noise, beta=cfg.beta, r=cfg.r
     )
 
 
 def _diagonal_scenario(cfg: ScenarioConfig):
     """Rates, covariance and integrand eigenvalues for mode-wise presets."""
-    if cfg.semigroup_json.get("kind") != "diagonal":
+    if cfg.semigroup.rates is None:
         raise ConfigError("this experiment requires a diagonal semigroup")
-    phi = cfg.integrand_json
-    if phi.get("kind") != "constant" or phi.get("operator", {}).get("kind") != "diagonal":
+    # a spectral integrand already has dims.U == dims.H
+    phi = cfg.integrand.constant
+    if not isinstance(phi, SpectralOperator):
         raise ConfigError("this experiment requires a constant diagonal integrand")
-    if cfg.dim_u != cfg.dim_h:
-        raise ConfigError("this experiment requires dims.U == dims.H")
-    rates = np.asarray(cfg.semigroup_json["rates"], float)
-    q_eig = np.asarray(cfg.q_eigenvalues, float)
-    phi_eig = np.asarray(phi["operator"]["eigenvalues"], float)
-    return rates, q_eig, phi_eig
+    return cfg.semigroup.rates, cfg.noise_spec.q_eigenvalues, phi.eigenvalues
 
 
 def _mode_variance_closed_form(rates, q_eig, phi_eig, horizon: float) -> np.ndarray:
@@ -124,8 +121,7 @@ def _mode_variance_closed_form(rates, q_eig, phi_eig, horizon: float) -> np.ndar
 def _variance_check(cfg: ScenarioConfig):
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
     noise = _sample_noise(cfg)
-    request = _request(cfg, noise, cfg.build_integrand(), cfg.build_semigroup())
-    ensemble = conv.direct_convolution(request)
+    ensemble = conv.direct_convolution(_request(cfg, noise))
     final = ensemble.values[:, -1, :]
     n = final.shape[0]
     estimates = np.var(final, axis=0, ddof=1)
@@ -167,8 +163,7 @@ def _variance_check(cfg: ScenarioConfig):
 
 
 def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
-    spec = cfg.options.get("family", {})
-    base = cfg.build_integrand()
+    spec = _require({"family": {}, **cfg.options}, "family", dict, "options")
     kind = spec.get("kind", "scaled_constant")
     if kind != "scaled_constant":
         raise ConfigError(f"unknown family kind {kind!r}")
@@ -192,11 +187,11 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
             raise ConfigError(f"unknown quadrature rule {name!r}")
         weights = np.full(n_atoms, h)
     else:
-        atoms = np.asarray(spec.get("atoms", [1.0]), float)
-        weights = np.asarray(spec.get("weights", [1.0] * len(atoms)), float)
+        atoms = _numbers({"atoms": [1.0], **spec}, "atoms", "options.family")
+        weights = _numbers({"weights": [1.0] * len(atoms), **spec}, "weights", "options.family")
         if atoms.shape != weights.shape:
             raise ConfigError("family atoms and weights must align")
-    return FubiniFamily.from_factory(atoms, weights, lambda y: base.scaled(float(y)))
+    return FubiniFamily.from_factory(atoms, weights, lambda y: cfg.integrand.scaled(float(y)))
 
 
 def _run_fubini(cfg: ScenarioConfig):
@@ -238,9 +233,7 @@ def _run_factorize_compare(cfg: ScenarioConfig):
     if not factors or sorted(factors, reverse=True) != factors or factors[-1] != 1:
         raise ConfigError("refinement_factors must decrease to 1")
     fine_noise = _sample_noise(cfg)
-    semigroup = cfg.build_semigroup()
-    phi = cfg.build_integrand()
-    if phi.kind != "constant":
+    if cfg.integrand.kind != "constant":
         raise ConfigError("factorize-compare requires a constant integrand")
     rows = []
     errors = []
@@ -248,14 +241,14 @@ def _run_factorize_compare(cfg: ScenarioConfig):
     tables = {}
     for factor in factors:
         noise = coarsen_increments(fine_noise, factor)
-        request = _request(cfg, noise, phi, semigroup)
+        request = _request(cfg, noise)
         direct = conv.direct_convolution(request)
         rough = conv.kernel_convolution(request)
-        smoothed = conv.factorization_smoothing(rough, semigroup, cfg.beta, cfg.r)
+        smoothed = conv.factorization_smoothing(rough, cfg.semigroup, cfg.beta, cfg.r)
         report_obj = conv.compare(direct, smoothed, meta={"seed": cfg.seed})
         err = report_obj.max_node_mean
         errors.append(err)
-        violations += _holder_violations(rough, smoothed, semigroup, cfg.beta, cfg.r)
+        violations += _holder_violations(rough, smoothed, cfg.semigroup, cfg.beta, cfg.r)
         rows.append((noise.grid.dt, noise.grid.n_steps, err, report_obj.sup_abs))
         tables[f"factorize_per_node_N{noise.grid.n_steps}.csv"] = (
             ["t", "mean_abs_difference"],
@@ -277,7 +270,8 @@ def _run_factorize_compare(cfg: ScenarioConfig):
 
 
 def _run_constants(cfg: ScenarioConfig):
-    betas = cfg.options.get("betas", [round(0.1 * k, 1) for k in range(1, 10)])
+    default = [round(0.1 * k, 1) for k in range(1, 10)]
+    betas = _numbers({"betas": default, **cfg.options}, "betas", "options").tolist()
     rows = []
     max_closed_diff = 0.0
     max_sym_diff = 0.0
@@ -305,10 +299,10 @@ def _run_constants(cfg: ScenarioConfig):
 
 def _run_norms(cfg: ScenarioConfig):
     noise = _sample_noise(cfg)
-    semigroup = cfg.build_semigroup()
-    phi = cfg.build_integrand()
-    weight = SpectralOperator(cfg.space_u(), cfg.space_u(), np.asarray(cfg.q_eigenvalues, float))
-    request = _request(cfg, noise, phi, semigroup)
+    semigroup, phi = cfg.semigroup, cfg.integrand
+    space_u = cfg.noise_spec.space
+    weight = SpectralOperator(space_u, space_u, cfg.noise_spec.q_eigenvalues)
+    request = _request(cfg, noise)
     direct_lpq = estimate_lpq(conv.direct_convolution(request), cfg.p, cfg.q, seed=cfg.seed + 1)
     smoothed = conv.factorized_convolution(request)
     smoothed_lrr = estimate_lpq(smoothed, cfg.r, cfg.r, seed=cfg.seed + 2)
@@ -439,9 +433,7 @@ def run_convolve(cfg: ScenarioConfig, method: str, out_path: str, check: bool):
     """
     if method not in ("direct", "factorized", "both"):
         raise ConfigError(f"method must be direct, factorized or both, got {method!r}")
-    noise = _sample_noise(cfg)
-    semigroup = cfg.build_semigroup()
-    request = _request(cfg, noise, cfg.build_integrand(), semigroup)
+    request = _request(cfg, _sample_noise(cfg))
     outputs = {}
     ok = True
     if method in ("direct", "both"):
@@ -452,9 +444,9 @@ def run_convolve(cfg: ScenarioConfig, method: str, out_path: str, check: bool):
                 f"factorized output requires beta in (1/r, 1), got beta={cfg.beta}, r={cfg.r}"
             )
         rough = conv.kernel_convolution(request)
-        smoothed = conv.factorization_smoothing(rough, semigroup, cfg.beta, cfg.r)
+        smoothed = conv.factorization_smoothing(rough, cfg.semigroup, cfg.beta, cfg.r)
         outputs["factorized"] = smoothed
         if check:
-            ok = _holder_violations(rough, smoothed, semigroup, cfg.beta, cfg.r) == 0
+            ok = _holder_violations(rough, smoothed, cfg.semigroup, cfg.beta, cfg.r) == 0
     export_paths_csv(outputs, out_path)
     return ok

@@ -28,8 +28,6 @@ __all__ = [
     "lag_operators",
     "operator_matrix",
     "identity_operator",
-    "operator_from_json",
-    "operator_to_json",
 ]
 
 
@@ -168,7 +166,8 @@ class SemigroupSpec:
     ``rates`` set S(t) = coordinatewise exp(-rate_k * t) (requires
     rate_k >= 0, so the sup bound is exactly 1).  Alternatively ``generator``
     sets S(t) = expm(t * A).  ``bound`` is sup_{t in [0, horizon]} |S(t)|,
-    exact for the diagonal kind and sampled on 257 nodes for the dense kind.
+    exact for the diagonal kind and sampled on 257 nodes for the dense kind
+    (infinite when some sampled S(t) overflows).
     """
 
     space: HilbertSpec
@@ -202,7 +201,10 @@ class SemigroupSpec:
                     got=self.generator.shape,
                 )
             ts = np.linspace(0.0, self.horizon, 257)
-            norms = [np.linalg.norm(expm(t * self.generator), 2) for t in ts]
+            # an overflowed S(t) counts as unbounded, not as a NaN norm that max() skips
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = (expm(t * self.generator) for t in ts)
+                norms = [np.linalg.norm(s, 2) if np.isfinite(s).all() else np.inf for s in powers]
             object.__setattr__(self, "bound", float(max(norms)))
 
     @property
@@ -247,23 +249,3 @@ def lag_operators(sg: SemigroupSpec, dt: float, n_lags: int) -> list[Operator]:
         table.append(DenseOperator(sg.space, sg.space, power))
         power = step if j == 0 else power @ step
     return table
-
-
-def operator_to_json(op: Operator) -> dict:
-    if isinstance(op, SpectralOperator):
-        return {"kind": "diagonal", "eigenvalues": op.eigenvalues.tolist()}
-    return {"kind": "dense", "rows": op.entries.tolist()}
-
-
-def operator_from_json(data: dict, domain: HilbertSpec, codomain: HilbertSpec) -> Operator:
-    """Build an operator from its JSON form.
-
-    Accepted forms: ``{"kind": "diagonal", "eigenvalues": [...]}`` and
-    ``{"kind": "dense", "rows": [[...], ...]}``.
-    """
-    kind = data.get("kind")
-    if kind == "diagonal":
-        return SpectralOperator(domain, codomain, np.asarray(data["eigenvalues"], dtype=float))
-    if kind == "dense":
-        return DenseOperator(domain, codomain, np.asarray(data["rows"], dtype=float))
-    raise StochConvError(f"unknown operator kind {kind!r}")

@@ -21,7 +21,6 @@ __all__ = [
     "lpq_norm",
     "holder_constant",
     "abs_integral",
-    "kernel_from_json",
 ]
 
 
@@ -170,13 +169,3 @@ def holder_constant(k: KernelSpec, p: float, q: float) -> float:
             return 0.0
         return float(np.max(masses[positive] ** ((p - 1.0) / p)))
     return 1.0
-
-
-def kernel_from_json(data: dict) -> KernelSpec:
-    """Build a kernel from ``{"d2_weights": [...], "kernel_masses": [[...], ...]}``."""
-    weights = np.asarray(data["d2_weights"], dtype=float)
-    masses = np.asarray(data["kernel_masses"], dtype=float)
-    base = DiscreteMeasureSpace(tuple(range(len(weights))), weights)
-    if masses.ndim != 2:
-        raise StochConvError("kernel_masses must be a matrix")
-    return KernelSpec(base, tuple(range(masses.shape[1])), masses)

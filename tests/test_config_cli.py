@@ -32,6 +32,9 @@ def _base_config():
     }
 
 
+_OP = {"kind": "diagonal", "eigenvalues": [1.0]}
+
+
 def _write(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -122,6 +125,37 @@ def test_config_hash_is_canonical():
             lambda d: d["semigroup"].update(rates=[10**400]), "rates", id="rates-int-overflow"
         ),
         pytest.param(lambda d: d.update(seed=2**64), "seed", id="seed-2pow64"),
+        pytest.param(
+            lambda d: d.update(integrand={"kind": "time_varying", "operators": [_OP] * 49}),
+            "operators",
+            id="operators-fewer-than-N",
+        ),
+        pytest.param(
+            lambda d: d.update(integrand={"kind": "time_varying", "operators": [5] * 50}),
+            "operators",
+            id="operators-not-objects",
+        ),
+        pytest.param(
+            lambda d: d.update(semigroup={"kind": "dense", "generator": [[1e5]]}),
+            "generator",
+            id="generator-bound-inf",
+        ),
+        pytest.param(
+            lambda d: d["integrand"].update(operator={"kind": "banded"}),
+            "operator",
+            id="operator-kind-banded",
+        ),
+        pytest.param(
+            lambda d: d["semigroup"].update(rates=[[1.0]]), "rates", id="rates-nested"
+        ),
+        pytest.param(
+            lambda d: d.update(q_eigenvalues=[[1.0]]), "q_eigenvalues", id="q-nested"
+        ),
+        pytest.param(
+            lambda d: d["integrand"]["operator"].update(eigenvalues=[[1.0]]),
+            "eigenvalues",
+            id="eigenvalues-nested",
+        ),
     ],
 )
 def test_schema_violations_raise_config_error(mutate, fragment):
@@ -321,6 +355,14 @@ def _with_options(experiment, options):
             {"refinement_factors": [4, 2.5, 1]},
             "refinement_factors",
             id="refinement_factors",
+        ),
+        pytest.param("constants", {"betas": ["x"]}, "betas", id="betas-str"),
+        pytest.param("constants", {"betas": 5}, "betas", id="betas-not-list"),
+        pytest.param("fubini", {"family": 5}, "family", id="family-not-object"),
+        pytest.param("fubini", {"family": {"atoms": ["a"]}}, "atoms", id="atoms-str"),
+        pytest.param("fubini", {"family": {"atoms": [[1.0]]}}, "atoms", id="atoms-nested"),
+        pytest.param(
+            "fubini", {"family": {"atoms": [1.0], "weights": [None]}}, "weights", id="weights-null"
         ),
     ],
 )

@@ -403,8 +403,6 @@ def test_request_validation():
         ConvolutionRequest(phi, sg, noise, beta=1.0, r=4.0)
     with pytest.raises(StochConvError):
         ConvolutionRequest(phi, sg, noise, beta=0.5, r=1.0)
-    with pytest.raises(StochConvError):
-        ConvolutionRequest(phi, sg, noise, beta=0.5, r=4.0, p=0.5)
     wrong_space = HilbertSpec(2)
     tall = IntegrandSpec.from_constant(
         SpectralOperator(wrong_space, wrong_space, [1.0, 1.0])

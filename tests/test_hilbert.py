@@ -19,9 +19,7 @@ from stochconv import (
 from stochconv.hilbert import (
     identity_operator,
     lag_operators,
-    operator_from_json,
     operator_matrix,
-    operator_to_json,
 )
 
 
@@ -220,6 +218,18 @@ def test_dense_semigroup_bound_is_sampled_sup(rng):
     assert sg.bound == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [[[1e5]], [[1e300, 1.0], [1.0, 1.0]]],
+    ids=["overflow-late", "overflow-svd"],
+)
+def test_dense_semigroup_bound_is_infinite_when_s_overflows(gen):
+    # S(t) overflows at some sampled node: a NaN norm there must not be skipped
+    # (1x1) and a non-finite matrix must not reach the SVD (2x2)
+    sg = SemigroupSpec(HilbertSpec(len(gen)), generator=np.array(gen), horizon=1.0)
+    assert sg.bound == math.inf
+
+
 def test_hs_norm_homogeneity_and_triangle(rng):
     h = HilbertSpec(3)
     for _ in range(200):
@@ -243,17 +253,3 @@ def test_spectral_hs_norm_matches_dense_embedding(eigs):
     dense = DenseOperator(h, h, np.diag(eigs))
     assert hs_norm(spectral) == pytest.approx(hs_norm(dense), rel=1e-12, abs=1e-12)
 
-
-def test_operator_json_roundtrip():
-    h = HilbertSpec(2)
-    diag = SpectralOperator(h, h, [1.5, -2.0])
-    dense = DenseOperator(h, h, [[1.0, 2.0], [3.0, 4.0]])
-    for op in (diag, dense):
-        back = operator_from_json(operator_to_json(op), h, h)
-        assert np.array_equal(operator_matrix(back), operator_matrix(op))
-
-
-def test_operator_json_unknown_kind():
-    h = HilbertSpec(1)
-    with pytest.raises(StochConvError):
-        operator_from_json({"kind": "banded"}, h, h)

@@ -14,7 +14,7 @@ from stochconv import (
     lpq_norm,
     product_measure_mass,
 )
-from stochconv.measures import abs_integral, kernel_from_json
+from stochconv.measures import abs_integral
 
 
 def _kernel(d2_weights, masses):
@@ -177,12 +177,6 @@ def test_vector_valued_function_magnitudes():
     f = DiscreteFunction(np.array([[[3.0, 4.0]], [[0.0, 0.0]]]))
     # |(3,4)| = 5 on the first atom pair
     assert lpq_norm(f, k, 1.0, 1.0) == pytest.approx(5.0, rel=1e-15)
-
-
-def test_kernel_from_json_matches_manual():
-    data = {"d2_weights": [1.0, 2.0], "kernel_masses": [[0.5, 0.5], [1.0, 3.0]]}
-    k = kernel_from_json(data)
-    assert product_measure_mass(k) == pytest.approx(1.0 * 1.0 + 2.0 * 4.0, rel=1e-15)
 
 
 def test_negative_weights_rejected():

@@ -185,7 +185,7 @@ def test_factorized_norm_ratio_below_bound_constant():
     phi = IntegrandSpec.from_constant(SpectralOperator(space, space, [1.0]))
     weight = SpectralOperator(space, space, [1.0])
     noise = sample_increments(QWienerSpec(space, [1.0]), grid, 9090, n_paths)
-    req = ConvolutionRequest(phi, sg, noise, beta=beta, r=r, p=p, q=q)
+    req = ConvolutionRequest(phi, sg, noise, beta=beta, r=r)
     rough = kernel_convolution(req)
     smoothed = factorization_smoothing(rough, sg, beta, r)
 
