@@ -28,6 +28,6 @@ def run_over_paths(fn, n_paths: int, workers: int = 1, chunk: int = CHUNK) -> No
         for start, stop in blocks:
             fn(start, stop)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         for _ in pool.map(lambda block: fn(*block), blocks):
             pass

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENTS, ScenarioConfig, load_config, parse_config
+from .config import EXPERIMENTS, ScenarioConfig, load_config
 from .errors import StochConvError
 from .experiments import run_convolve, run_experiment
 
@@ -51,17 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> ScenarioConfig:
-    cfg = load_config(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = int(args.seed)
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = int(args.workers)
-    if overrides:
-        raw = dict(cfg.raw)
-        raw.update(overrides)
-        cfg = parse_config(raw)
-    return cfg
+    return load_config(args.config, overrides)
 
 
 def main(argv=None) -> int:

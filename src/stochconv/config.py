@@ -252,8 +252,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     )
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Load a scenario config file and parse it.
+def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
+    """Load a scenario config file, replace top-level keys by ``overrides``, parse once.
 
     Raises:
       ConfigError: unreadable file, invalid JSON, or schema violation.
@@ -265,4 +265,6 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if overrides and isinstance(data, dict):
+        data.update(overrides)
     return parse_config(data)

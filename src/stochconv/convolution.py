@@ -14,10 +14,18 @@ tightens under grid refinement with common (aggregated) noise.
 
 The singular stochastic kernel is only ever evaluated at lags >= dt: the
 left-point rule excludes the i = k term, so no regularization is needed.
-Semigroup values at lag j*dt come from ``hilbert.lag_operators``, the one place
-where S(j dt) is decided (exp(-rate j dt) for a diagonal semigroup, the j-th
-power of S(dt) for a dense one, matching the prefix recursion of the direct
-pipeline); every pipeline here applies them through ``apply_operator``.
+Semigroup values at lag j*dt come from ``hilbert.lag_table`` (or its operator
+form ``lag_operators``), the one place where S(j dt) is decided
+(exp(-rate j dt) for a diagonal semigroup, the j-th power of S(dt) for a dense
+one, matching the prefix recursion of the direct pipeline).
+
+The kernel and smoothing stages share one causal lag-convolution engine,
+``_lag_convolve``: a zero-padded real FFT along the time axis with the kernel
+sequence w_j S(j dt), multiplied mode by mode for a diagonal semigroup and by
+the d x d kernel matrix at each frequency for a dense one.  It costs
+O(P d N log N) (diagonal) or O(P d^2 N log N) (dense) against the
+O(P d N^2) of the lag-by-lag sum, and its rounding error is relative to the
+largest values of the input and the kernel, not to each output node.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, StochConvError
-from .hilbert import SemigroupSpec, apply_operator, lag_operators
+from .hilbert import SemigroupSpec, apply_operator, lag_operators, lag_table
 from .ito import IntegrandSpec, PathEnsemble, integrand_products
 from .noise import NoiseEnsemble
 
@@ -45,6 +53,10 @@ __all__ = [
     "smoothing_bound_factor",
     "left_lr_norm",
 ]
+
+# Time-domain elements (FFT length x dim x paths) of one path block in the lag
+# engine: keeps each transform temporary near 0.5 MB whatever P, N and d are.
+_BLOCK_ELEMENTS = 65536
 
 
 @dataclass(frozen=True)
@@ -146,20 +158,52 @@ def c_beta(beta: float) -> float:
     return 1.0 / beta_integral(beta)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length that ``numpy.fft`` transforms fast."""
+    while True:
+        rest = n
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _lag_convolve(
     x: np.ndarray, weights: np.ndarray, semigroup: SemigroupSpec, dt: float
 ) -> np.ndarray:
     """Causal lag convolution of a node sequence, shape (paths, N + 1, dim).
 
     Node k carries sum_{j=1..k} w_j S(j dt) x_{k-j}, with N = len(weights);
-    only nodes 0..N-1 of x are read.
+    only nodes 0..N-1 of x are read, and node 0 is exactly zero.
+
+    The kernel c_i = w_{i+1} S((i+1) dt) and each path's x_0..x_{N-1} are
+    zero-padded to a length >= 2N, so the circular convolution of their real
+    FFTs has no wrap-around onto the nodes read back.  The rounding error of
+    a node is bounded relative to the largest magnitudes of x and of the
+    kernel, not to the node itself: a node much smaller than the array
+    maximum can carry a large relative error.  Each path is transformed on
+    its own, so its output does not depend on which paths share its block.
     """
     n_lags = weights.size
-    lags = lag_operators(semigroup, dt, n_lags)
-    values = np.zeros((x.shape[0], n_lags + 1, x.shape[2]))
-    for j in range(1, n_lags + 1):
-        block = x[:, : n_lags - j + 1, :]
-        values[:, j:, :] += weights[j - 1] * apply_operator(lags[j], block)
+    table = lag_table(semigroup, dt, n_lags)[1:]
+    kernel = weights.reshape((-1,) + (1,) * (table.ndim - 1)) * table
+    size = _fft_length(2 * n_lags)
+    spectrum = np.fft.rfft(kernel, size, axis=0)  # (F, dim) diagonal, (F, dim, dim) dense
+    n_paths, _, dim = x.shape
+    values = np.zeros((n_paths, n_lags + 1, dim))
+    block = max(1, _BLOCK_ELEMENTS // (size * dim))
+    for start in range(0, n_paths, block):
+        signal = np.fft.rfft(x[start : start + block, :n_lags], size, axis=1)
+        if spectrum.ndim == 2:
+            product = signal * spectrum
+        else:
+            # product[p, f, h] = sum_e spectrum[f, h, e] signal[p, f, e], in a fixed order
+            product = signal[:, :, :1] * spectrum[:, :, 0]
+            for e in range(1, dim):
+                product += signal[:, :, e : e + 1] * spectrum[:, :, e]
+        values[start : start + block, 1:] = np.fft.irfft(product, size, axis=1)[:, :n_lags]
     return values
 
 

@@ -326,6 +326,7 @@ def _run_norms(cfg: ScenarioConfig):
         "bound_constant": {
             "c_beta": c_beta,
             "semigroup_bound": semigroup.bound,
+            "semigroup_sampled_bound": semigroup.sampled_bound,
             "time_factor": time_factor,
             "integral_norm_estimate": j_estimate,
             "bound": bound,

@@ -25,6 +25,7 @@ __all__ = [
     "apply_operator",
     "hs_norm",
     "semigroup_eval",
+    "lag_table",
     "lag_operators",
     "operator_matrix",
     "identity_operator",
@@ -159,15 +160,55 @@ def hs_norm(op: Operator, weight: SpectralOperator | None = None) -> float:
     return float(np.sqrt(np.sum(q * np.sum(op.entries**2, axis=0))))
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """expm(m), with a triangular m sent through scipy's generic branch.
+
+    For a triangular input scipy rebuilds the first off-diagonal after each
+    squaring from the divided difference (e^b - e^a) / (b - a), which cancels
+    to 0 when two diagonal entries differ by a tiny nonzero amount: the
+    generator [[0, 0], [1, 1e-81]] gave S(1.5)[1, 0] = 0, not 1.5.  The block
+    matrix diag(m, m^T) is not triangular, and its top-left block is expm(m).
+    """
+    lower, upper = np.any(np.tril(m, -1)), np.any(np.triu(m, 1))
+    if lower == upper:  # full or diagonal
+        return expm(m)
+    dim = m.shape[0]
+    both = np.zeros((2 * dim, 2 * dim))
+    both[:dim, :dim] = m
+    both[dim:, dim:] = m.T
+    return expm(both)[:dim, :dim]
+
+
+def _dense_sup_bounds(generator: np.ndarray, horizon: float) -> tuple[float, float]:
+    """Sampled and certified sup of |expm(t A)|_2 over [0, horizon]."""
+    ts = np.linspace(0.0, horizon, 257)
+    # an overflowed S(t) counts as unbounded, not as a NaN norm that max() skips
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = (_expm(t * generator) for t in ts)
+        norms = [np.linalg.norm(s, 2) if np.isfinite(s).all() else np.inf for s in powers]
+        sampled = float(max(norms))
+        if not np.isfinite(sampled):
+            return sampled, sampled
+        log_norm = np.linalg.eigvalsh(0.5 * (generator + generator.T))[-1]
+        return sampled, float(sampled * max(1.0, np.exp(horizon / 256 * log_norm)))
+
+
 @dataclass(frozen=True)
 class SemigroupSpec:
     """Strongly continuous semigroup S on a truncated space.
 
     ``rates`` set S(t) = coordinatewise exp(-rate_k * t) (requires
     rate_k >= 0, so the sup bound is exactly 1).  Alternatively ``generator``
-    sets S(t) = expm(t * A).  ``bound`` is sup_{t in [0, horizon]} |S(t)|,
-    exact for the diagonal kind and sampled on 257 nodes for the dense kind
-    (infinite when some sampled S(t) overflows).
+    sets S(t) = expm(t * A).  ``bound`` is an upper bound on
+    sup_{t in [0, horizon]} |S(t)|, exact for the diagonal kind.  For the
+    dense kind ``sampled_bound`` is the largest |S(t)| on 257 equispaced nodes
+    (a lower estimate of the sup), and ``bound`` is ``sampled_bound`` times
+    max(1, exp(h mu(A))), with h = horizon / 256 the node gap and mu(A) the
+    largest eigenvalue of (A + A^T) / 2: for t = t_i + s with 0 <= s <= h,
+    |S(t)| <= |S(s)| |S(t_i)| and |S(s)| <= exp(s mu(A)).  That margin never
+    exceeds the Lipschitz margin 1 + h|A| e^(h|A|), and it stays 1 for a
+    dissipative generator however stiff.  Both are infinite when some sampled
+    S(t) overflows.
     """
 
     space: HilbertSpec
@@ -175,6 +216,7 @@ class SemigroupSpec:
     generator: np.ndarray | None = None
     horizon: float = 1.0
     bound: float = field(init=False, default=1.0)
+    sampled_bound: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         if (self.rates is None) == (self.generator is None):
@@ -192,6 +234,7 @@ class SemigroupSpec:
             if np.any(self.rates < 0.0):
                 raise StochConvError("diagonal semigroup rates must be >= 0")
             object.__setattr__(self, "bound", 1.0)
+            object.__setattr__(self, "sampled_bound", 1.0)
         else:
             object.__setattr__(self, "generator", _frozen_array(self.generator))
             if self.generator.shape != (self.space.dim, self.space.dim):
@@ -200,12 +243,9 @@ class SemigroupSpec:
                     expected=(self.space.dim, self.space.dim),
                     got=self.generator.shape,
                 )
-            ts = np.linspace(0.0, self.horizon, 257)
-            # an overflowed S(t) counts as unbounded, not as a NaN norm that max() skips
-            with np.errstate(over="ignore", invalid="ignore"):
-                powers = (expm(t * self.generator) for t in ts)
-                norms = [np.linalg.norm(s, 2) if np.isfinite(s).all() else np.inf for s in powers]
-            object.__setattr__(self, "bound", float(max(norms)))
+            sampled, bound = _dense_sup_bounds(self.generator, self.horizon)
+            object.__setattr__(self, "sampled_bound", sampled)
+            object.__setattr__(self, "bound", bound)
 
     @property
     def is_diagonal(self) -> bool:
@@ -229,23 +269,30 @@ def semigroup_eval(sg: SemigroupSpec, t: float) -> Operator:
         raise StochConvError(f"semigroup evaluated at negative time {t}")
     if sg.is_diagonal:
         return SpectralOperator(sg.space, sg.space, np.exp(-sg.rates * t))
-    return DenseOperator(sg.space, sg.space, expm(t * sg.generator))
+    return DenseOperator(sg.space, sg.space, _expm(t * sg.generator))
+
+
+def lag_table(sg: SemigroupSpec, dt: float, n_lags: int) -> np.ndarray:
+    """S(j dt) for j = 0..n_lags stacked: the one place where lag values of S are decided.
+
+    Diagonal: rows exp(-rate j dt), shape (n_lags + 1, dim).  Dense: matrices S(dt)^j
+    by repeated ``power @ step``, shape (n_lags + 1, dim, dim), matching the one-step
+    recursion of the direct convolution; it differs from expm(j dt A) by rounding that
+    grows with j.
+    """
+    if sg.is_diagonal:
+        return np.exp(-np.outer(np.arange(n_lags + 1) * dt, sg.rates))
+    step = operator_matrix(semigroup_eval(sg, dt))
+    table = np.empty((n_lags + 1, sg.space.dim, sg.space.dim))
+    table[0] = np.eye(sg.space.dim)
+    if n_lags:
+        table[1] = step
+    for j in range(2, n_lags + 1):
+        table[j] = table[j - 1] @ step
+    return table
 
 
 def lag_operators(sg: SemigroupSpec, dt: float, n_lags: int) -> list[Operator]:
-    """S(j dt) for j = 0..n_lags: the one place where lag values of S are decided.
-
-    Diagonal: ``SpectralOperator(exp(-rate j dt))``.  Dense: ``DenseOperator(S(dt)^j)``
-    by repeated ``power @ step``, matching the one-step recursion of the direct
-    convolution; it differs from expm(j dt A) by rounding that grows with j.
-    """
-    if sg.is_diagonal:
-        decay = np.exp(-np.outer(np.arange(n_lags + 1) * dt, sg.rates))
-        return [SpectralOperator(sg.space, sg.space, row) for row in decay]
-    step = operator_matrix(semigroup_eval(sg, dt))
-    power = np.eye(sg.space.dim)
-    table = []
-    for j in range(n_lags + 1):
-        table.append(DenseOperator(sg.space, sg.space, power))
-        power = step if j == 0 else power @ step
-    return table
+    """The rows of ``lag_table`` as ``SpectralOperator`` (diagonal) or ``DenseOperator``."""
+    kind = SpectralOperator if sg.is_diagonal else DenseOperator
+    return [kind(sg.space, sg.space, row) for row in lag_table(sg, dt, n_lags)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from stochconv import ConfigError
+from stochconv import config as config_module
 from stochconv.cli import main
 from stochconv.config import canonical_hash, load_config, parse_config
 
@@ -246,6 +247,21 @@ def test_cli_seed_override_changes_artifacts(tmp_path):
     rep_b = json.loads((out_b / "fubini_report.json").read_text())
     assert rep_a["seed"] == 5 and rep_b["seed"] == 99
     assert rep_a["scale"] != rep_b["scale"]
+
+
+def test_cli_seed_and_workers_overrides_parse_the_config_once(tmp_path, monkeypatch):
+    # each parse builds every object (a dense semigroup runs 257 expm), so one is enough
+    builds = []
+    build = config_module._semigroup
+    monkeypatch.setattr(config_module, "_semigroup", lambda *args: builds.append(args) or build(*args))
+    data = _base_config()
+    cfg_path = _write(tmp_path, data)
+    argv = ["ou-check", "--config", cfg_path, "--out", str(tmp_path), "--seed", "7", "--workers", "2"]
+    assert main(argv) == 0
+    assert len(builds) == 1
+    report = json.loads((tmp_path / "ou-check_report.json").read_text())
+    assert report["seed"] == 7
+    assert report["config_hash"] == canonical_hash({**data, "seed": 7})
 
 
 def test_cli_workers_do_not_change_artifacts(tmp_path):

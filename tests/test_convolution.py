@@ -30,11 +30,14 @@ from stochconv import (
     wiener_values,
 )
 from stochconv.convolution import (
+    _BLOCK_ELEMENTS,
+    _fft_length,
+    _lag_convolve,
     beta_integral,
     left_lr_norm,
     smoothing_bound_factor,
 )
-from stochconv.hilbert import operator_matrix
+from stochconv.hilbert import apply_operator, lag_operators, lag_table, operator_matrix
 from stochconv.ito import path_sup_norms
 
 
@@ -297,6 +300,90 @@ def test_smoothing_bound_factor_closed_form():
     assert smoothing_bound_factor(beta, r, horizon) == pytest.approx(oracle, rel=1e-14)
     with pytest.raises(StochConvError):
         smoothing_bound_factor(0.25, 4.0, 1.0)
+
+
+# ---------------------------------------------------- lag engine
+
+
+def _loop_lag_convolve(x, weights, semigroup, dt):
+    """The O(P N^2 d) lag-by-lag sum that the FFT engine replaced, kept as its oracle."""
+    n_lags = weights.size
+    lags = lag_operators(semigroup, dt, n_lags)
+    values = np.zeros((x.shape[0], n_lags + 1, x.shape[2]))
+    for j in range(1, n_lags + 1):
+        block = x[:, : n_lags - j + 1, :]
+        values[:, j:, :] += weights[j - 1] * apply_operator(lags[j], block)
+    return values
+
+
+@st.composite
+def _lag_cases(draw):
+    """A semigroup, lag weights and input shape of the two lag-engine callers."""
+    dim = draw(st.integers(1, 4))
+    n_lags = draw(st.integers(1, 70))  # 2N crosses the powers of two 2..128
+    n_paths = draw(st.integers(1, 5))
+    horizon = draw(st.floats(0.1, 3.0))
+    beta = draw(st.floats(0.0, 1.0, exclude_max=True))
+    space = HilbertSpec(dim)
+    kind = draw(st.sampled_from(["diagonal", "dense", "triangular"]))
+    if kind == "diagonal":
+        rates = draw(st.lists(st.floats(0.0, 50.0), min_size=dim, max_size=dim))
+        sg = SemigroupSpec(space, rates=rates, horizon=horizon)
+    else:
+        bound = 4.0 if kind == "dense" else 20.0
+        entries = draw(st.lists(st.floats(-bound, bound), min_size=dim * dim, max_size=dim * dim))
+        gen = np.array(entries).reshape(dim, dim)
+        if kind == "triangular":  # strongly non-normal: transient growth before decay
+            gen = np.triu(gen, 1) - np.diag(np.abs(np.diag(gen)))
+        sg = SemigroupSpec(space, generator=gen, horizon=horizon)
+    dt = horizon / n_lags
+    if beta < 0.01 or draw(st.booleans()):  # kernel_convolution weights
+        weights = (np.arange(1, n_lags + 1) * dt) ** (-beta)
+    else:  # factorization_smoothing weights
+        edges = (np.arange(n_lags + 1) * dt) ** beta
+        weights = (edges[1:] - edges[:-1]) / beta
+    return sg, weights, dt, (n_paths, n_lags + 1, dim)
+
+
+@given(case=_lag_cases(), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0))
+@settings(max_examples=150, deadline=None)
+def test_fft_lag_engine_matches_loop_oracle(case, seed, log_scale):
+    # FFT rounding is relative to the largest input and kernel values, not to each node
+    sg, weights, dt, shape = case
+    x = np.random.default_rng(seed).normal(size=shape) * 10.0**log_scale
+    fast = _lag_convolve(x, weights, sg, dt)
+    slow = _loop_lag_convolve(x, weights, sg, dt)
+    n_lags, dim = weights.size, shape[2]
+    table = lag_table(sg, dt, n_lags)[1:]
+    s_max = max(np.linalg.norm(np.diag(s) if s.ndim == 1 else s, 2) for s in table)
+    eps = np.finfo(float).eps
+    scale = np.max(np.abs(x[:, :n_lags])) * np.sum(np.abs(weights)) * s_max
+    assert fast.shape == slow.shape
+    assert np.all(fast[:, 0] == 0.0)
+    assert np.max(np.abs(fast - slow)) <= 4.0 * eps * math.log2(4 * n_lags) * dim * scale
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_lag_engine_path_output_is_bitwise_independent_of_its_block(rng, kind, dim):
+    # path blocks are sized by bytes, so which paths share a block depends on P, N and d
+    space = HilbertSpec(dim)
+    if kind == "diagonal":
+        sg = SemigroupSpec(space, rates=rng.uniform(0.0, 5.0, dim), horizon=1.0)
+    else:
+        sg = SemigroupSpec(space, generator=rng.normal(size=(dim, dim)), horizon=1.0)
+    n_lags = 300
+    block = _BLOCK_ELEMENTS // (_fft_length(2 * n_lags) * dim)
+    n_paths = 2 * block + 3
+    dt = 1.0 / n_lags
+    weights = (np.arange(1, n_lags + 1) * dt) ** (-0.3)
+    x = rng.normal(size=(n_paths, n_lags + 1, dim))
+    together = _lag_convolve(x, weights, sg, dt)
+    for path in (0, 1, block - 1, block, n_paths - 1):
+        alone = _lag_convolve(x[path : path + 1], weights, sg, dt)
+        assert np.array_equal(alone[0], together[path])
+    reversed_order = _lag_convolve(x[::-1], weights, sg, dt)
+    assert np.array_equal(reversed_order[::-1], together)
 
 
 # ------------------------------------------------- factorized pipeline

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from stochconv import (
     DenseOperator,
@@ -215,7 +216,38 @@ def test_dense_semigroup_bound_is_sampled_sup(rng):
     h = HilbertSpec(2)
     gen = np.array([[0.0, 1.0], [-1.0, 0.0]])  # rotation: norm exactly 1 forever
     sg = SemigroupSpec(h, generator=gen, horizon=2.0)
-    assert sg.bound == pytest.approx(1.0, abs=1e-10)
+    assert sg.sampled_bound == pytest.approx(1.0, abs=1e-10)
+
+
+def test_triangular_generator_with_nearly_equal_diagonal_is_exponentiated_exactly():
+    # scipy's triangular expm branch rebuilt S(t)[1, 0] from (e^b - e^a) / (b - a): 0, not t
+    sg = SemigroupSpec(HilbertSpec(2), generator=[[0.0, 0.0], [1.0, 1e-81]], horizon=2.0)
+    s_mat = operator_matrix(semigroup_eval(sg, 1.5))
+    assert np.allclose(s_mat, [[1.0, 0.0], [1.5, 1.0]], rtol=1e-14, atol=0.0)
+    assert sg.sampled_bound == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)  # |S(2)|
+
+
+@pytest.mark.parametrize(
+    "gen, horizon",
+    [
+        ([[-40.0, 300.0], [0.0, -40.0]], 1.0),
+        ([[-3.0, 25.0], [0.0, -9.0]], 2.0),
+        ([[-1.0, 4.0, 0.0], [0.0, -2.0, 30.0], [0.0, 0.0, -50.0]], 1.0),
+        ([[-100.0, 2000.0], [0.0, -120.0]], 1.0),
+        ([[-1e6]], 1.0),
+    ],
+    ids=["jordan", "triangular", "chain", "stiff-coupled", "stiff"],
+)
+def test_dense_semigroup_bound_is_at_least_the_sup_on_a_finer_grid(gen, horizon):
+    # the transient peak of a non-normal S(t) falls between the 257 sampled nodes
+    gen = np.array(gen)
+    sg = SemigroupSpec(HilbertSpec(len(gen)), generator=gen, horizon=horizon)
+    fine = max(np.linalg.norm(expm(t * gen), 2) for t in np.linspace(0.0, horizon, 2561))
+    assert fine <= sg.bound * (1.0 + 1e-12)
+    assert sg.sampled_bound <= sg.bound
+    reach = horizon / 256 * np.linalg.norm(gen, 2)
+    with np.errstate(over="ignore"):
+        assert sg.bound <= sg.sampled_bound * (1.0 + reach * np.exp(reach))
 
 
 @pytest.mark.parametrize(

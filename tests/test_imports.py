@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stochconv"
@@ -17,3 +20,11 @@ def test_no_imports_inside_function_bodies():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     offenders.append(f"{path.name}:{node.lineno} in {name}")
     assert offenders == []
+
+
+def test_import_loads_neither_scipy_fft_nor_scipy_signal():
+    # each costs about 100 ms and 5 MB per run on import; the lag engine uses numpy.fft
+    code = "import sys, stochconv; print(sorted(m for m in ('scipy.fft', 'scipy.signal') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

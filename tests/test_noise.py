@@ -14,6 +14,7 @@ from stochconv import (
     sample_increments,
     wiener_values,
 )
+from stochconv import _parallel
 from stochconv.noise import load_increments, save_increments, standard_gaussians
 
 
@@ -38,6 +39,32 @@ def test_workers_do_not_change_output():
     for workers in (2, 4, 8):
         other = sample_increments(_spec(2), TimeGrid(1.0, 100), 7, 600, workers=workers)
         assert base.increments.tobytes() == other.increments.tobytes()
+
+
+def test_worker_threads_are_capped_at_the_block_count(monkeypatch):
+    # a huge worker count is checked arithmetically: the stub starts no thread
+    requested = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingExecutor)
+    seen = []
+    _parallel.run_over_paths(lambda start, stop: seen.append((start, stop)), 600, workers=10**6)
+    assert requested == [3]
+    assert seen == _parallel.path_blocks(600)
+    _parallel.run_over_paths(lambda start, stop: None, 600, workers=2)
+    assert requested == [3, 2]
 
 
 def test_increments_are_pointwise_regenerable():
