@@ -5,10 +5,11 @@ For a finite weighted family of integrands the two pipelines
 * mix first:  integrate the weighted sum of the integrands,
 * mix last:   integrate each member, then form the weighted sum,
 
-agree up to floating-point reassociation of a finite double sum.  Both sides
-share the identical scaled per-step products w_j * (g_j(t_i) dW_i) and differ
-only in the reduction order (atoms inner vs. atoms outer), so a single-atom
-family commutes bitwise.
+agree up to floating-point reassociation of a finite double sum.  One pass
+over the atoms builds both sides from one ``integrand_products`` call per atom:
+they share the scaled per-step products w_j * (g_j(t_i) dW_i) and differ only
+in the reduction order (atoms inner vs. atoms outer), so a single-atom family
+commutes bitwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .convolution import DiscrepancyReport, compare
 from .errors import DimensionMismatchError, StochConvError
 from .ito import IntegrandSpec, PathEnsemble, integrand_products
-from .noise import NoiseEnsemble
+from .noise import NoiseEnsemble, prefix_sums
 
 __all__ = [
     "FubiniFamily",
@@ -75,10 +76,17 @@ class FubiniFamily:
         return len(self.atoms)
 
 
-def _scaled_products(family: FubiniFamily, noise: NoiseEnsemble, j: int) -> np.ndarray:
-    products = integrand_products(family.integrands[j], noise)
-    products *= family.weights[j]
-    return products
+def _both_orders(family: FubiniFamily, noise: NoiseEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
+    """Mix-first and mix-last integrals from one ``integrand_products`` call per atom."""
+    for j, (phi, weight) in enumerate(zip(family.integrands, family.weights)):
+        products = integrand_products(phi, noise)
+        products *= weight
+        if j == 0:  # both sums start from atom 0
+            mixed, total = products, prefix_sums(products)
+        else:  # atoms reduced inside the steps, and after the prefix sums
+            mixed += products
+            total[:, 1:, :] += np.cumsum(products, axis=1, out=products)
+    return PathEnsemble(prefix_sums(mixed), noise.grid), PathEnsemble(total, noise.grid)
 
 
 def integrate_then_ito(family: FubiniFamily, noise: NoiseEnsemble) -> PathEnsemble:
@@ -86,13 +94,7 @@ def integrate_then_ito(family: FubiniFamily, noise: NoiseEnsemble) -> PathEnsemb
 
     Returns the Euler-Ito integral of sum_j w_j g(y_j) on the given noise.
     """
-    mixed = _scaled_products(family, noise, 0)
-    for j in range(1, family.n_atoms):
-        mixed += _scaled_products(family, noise, j)
-    n_paths, n_steps, dim_h = mixed.shape
-    values = np.zeros((n_paths, n_steps + 1, dim_h))
-    np.cumsum(mixed, axis=1, out=values[:, 1:, :])
-    return PathEnsemble(values, noise.grid)
+    return _both_orders(family, noise)[0]
 
 
 def ito_then_integrate(family: FubiniFamily, noise: NoiseEnsemble) -> PathEnsemble:
@@ -101,12 +103,7 @@ def ito_then_integrate(family: FubiniFamily, noise: NoiseEnsemble) -> PathEnsemb
     Returns sum_j w_j I(g(y_j)) computed on the same noise, with the scaled
     per-step products shared bit-for-bit with ``integrate_then_ito``.
     """
-    first = np.cumsum(_scaled_products(family, noise, 0), axis=1)
-    total = np.zeros((first.shape[0], noise.grid.n_steps + 1, first.shape[2]))
-    total[:, 1:, :] = first
-    for j in range(1, family.n_atoms):
-        total[:, 1:, :] += np.cumsum(_scaled_products(family, noise, j), axis=1)
-    return PathEnsemble(total, noise.grid)
+    return _both_orders(family, noise)[1]
 
 
 def fubini_report(family: FubiniFamily, noise: NoiseEnsemble) -> DiscrepancyReport:
@@ -116,8 +113,7 @@ def fubini_report(family: FubiniFamily, noise: NoiseEnsemble) -> DiscrepancyRepo
     nodes of the absolute difference.  ``meta["scale"]`` is the largest
     absolute value on either side, the yardstick for a relative headline.
     """
-    lhs = integrate_then_ito(family, noise)
-    rhs = ito_then_integrate(family, noise)
+    lhs, rhs = _both_orders(family, noise)
     scale = max(float(np.max(np.abs(lhs.values))), float(np.max(np.abs(rhs.values))), 0.0)
     return compare(
         lhs,

@@ -132,6 +132,24 @@ def apply_operator(op: Operator, v: np.ndarray) -> np.ndarray:
     return v @ op.entries.T
 
 
+def weight_eigenvalues(weight: SpectralOperator | None, dim: int) -> np.ndarray:
+    """Eigenvalues of a weight on a ``dim``-dimensional domain; all ones when it is None.
+
+    Raises:
+      DimensionMismatchError: weight defined on a different-dimensional space.
+      StochConvError: weight has a negative eigenvalue.
+    """
+    if weight is None:
+        return np.ones(dim)
+    if weight.domain.dim != dim:
+        raise DimensionMismatchError(
+            "weight must act on the operator domain", expected=dim, got=weight.domain.dim
+        )
+    if np.any(weight.eigenvalues < 0.0):
+        raise StochConvError("weight eigenvalues must be nonnegative")
+    return weight.eigenvalues
+
+
 def hs_norm(op: Operator, weight: SpectralOperator | None = None) -> float:
     """Hilbert-Schmidt norm of an operator, optionally weighted on the domain.
 
@@ -143,18 +161,7 @@ def hs_norm(op: Operator, weight: SpectralOperator | None = None) -> float:
       DimensionMismatchError: weight defined on a different-dimensional space.
       StochConvError: weight has a negative eigenvalue.
     """
-    if weight is not None:
-        if weight.domain.dim != op.domain.dim:
-            raise DimensionMismatchError(
-                "weight must act on the operator domain",
-                expected=op.domain.dim,
-                got=weight.domain.dim,
-            )
-        q = weight.eigenvalues
-        if np.any(q < 0.0):
-            raise StochConvError("weight eigenvalues must be nonnegative")
-    else:
-        q = np.ones(op.domain.dim)
+    q = weight_eigenvalues(weight, op.domain.dim)
     if isinstance(op, SpectralOperator):
         return float(np.sqrt(np.sum(q * op.eigenvalues**2)))
     return float(np.sqrt(np.sum(q * np.sum(op.entries**2, axis=0))))

@@ -17,7 +17,7 @@ from .errors import DimensionMismatchError, PredictabilityError, StochConvError
 from .hilbert import (
     DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
 )
-from .noise import NoiseEnsemble, TimeGrid, sample_increments
+from .noise import NoiseEnsemble, TimeGrid, prefix_sums, sample_increments
 
 __all__ = [
     "IntegrandSpec",
@@ -168,7 +168,7 @@ class NormReport:
         }
 
 
-def _check_compatible(phi: IntegrandSpec, noise: NoiseEnsemble):
+def check_compatible(phi: IntegrandSpec, noise: NoiseEnsemble):
     if phi.domain.dim != noise.spec.space.dim:
         raise DimensionMismatchError(
             "integrand domain must match the noise space",
@@ -177,21 +177,33 @@ def _check_compatible(phi: IntegrandSpec, noise: NoiseEnsemble):
         )
 
 
+def step_matrices(phi: IntegrandSpec, n_steps: int) -> np.ndarray:
+    """Phi_{t_i} for the steps i < n_steps of a constant or time-varying integrand."""
+    if phi.kind == CONSTANT:
+        mat = operator_matrix(phi.constant)
+        return np.broadcast_to(mat, (n_steps,) + mat.shape)
+    if phi.kind != TIME_VARYING:
+        raise StochConvError("a deterministic integrand is required")
+    have = phi.node_matrices.shape[0]
+    if have < n_steps:
+        raise DimensionMismatchError("need one operator per step", expected=n_steps, got=have)
+    return phi.node_matrices[:n_steps]
+
+
+def step_products(mats: np.ndarray, inc: np.ndarray, out=None) -> np.ndarray:
+    """Phi_i dW_i for step matrices (n, dim_H, dim_U) and increments (paths, n, dim_U)."""
+    return np.einsum("ihu,piu->pih", mats, inc, out=out)
+
+
 def integrand_products(phi: IntegrandSpec, noise: NoiseEnsemble) -> np.ndarray:
     """Per-step products Phi_{t_i} dW_i, shape (paths, N, dim_H)."""
-    _check_compatible(phi, noise)
+    check_compatible(phi, noise)
     inc = noise.increments
     n_paths, n_steps, _ = inc.shape
     if phi.kind == CONSTANT:
         return apply_operator(phi.constant, inc)
     if phi.kind == TIME_VARYING:
-        if phi.node_matrices.shape[0] < n_steps:
-            raise DimensionMismatchError(
-                "need one operator per step",
-                expected=n_steps,
-                got=phi.node_matrices.shape[0],
-            )
-        return np.einsum("ihu,piu->pih", phi.node_matrices[:n_steps], inc)
+        return step_products(step_matrices(phi, n_steps), inc)
     out = np.empty((n_paths, n_steps, phi.codomain.dim))
     for i in range(n_steps):
         mats = np.asarray(phi.callback(i, inc), dtype=np.float64)
@@ -223,11 +235,7 @@ def ito_integrate(
     """
     if probe:
         probe_predictability(phi, noise)
-    products = integrand_products(phi, noise)
-    n_paths, n_steps, dim_h = products.shape
-    values = np.zeros((n_paths, n_steps + 1, dim_h))
-    np.cumsum(products, axis=1, out=values[:, 1:, :])
-    return PathEnsemble(values, noise.grid)
+    return PathEnsemble(prefix_sums(integrand_products(phi, noise)), noise.grid)
 
 
 def probe_predictability(
@@ -278,18 +286,23 @@ def path_sup_norms(ensemble: PathEnsemble) -> np.ndarray:
     return np.max(mags, axis=1)
 
 
+def sup_lr_norm(values: np.ndarray, r: float) -> tuple[np.ndarray, float, float]:
+    """Sup-L^r reduction of node values (paths, nodes, dim): per-path sup^r, mean, 1/r-th root."""
+    if r < 1.0:
+        raise StochConvError(f"exponent must satisfy r >= 1, got {r}")
+    sups = np.max(np.sqrt(np.sum(values**2, axis=-1)), axis=1) ** r
+    moment = float(np.mean(sups))
+    return sups, moment, moment ** (1.0 / r)
+
+
 def lr_path_norm(ensemble: PathEnsemble, r: float):
     """Monte Carlo estimate of (E[sup-norm^r])^(1/r) with a delta-method SE.
 
     Raises:
       StochConvError: if r < 1.
     """
-    if r < 1.0:
-        raise StochConvError(f"exponent must satisfy r >= 1, got {r}")
-    sups = path_sup_norms(ensemble) ** r
+    sups, moment, estimate = sup_lr_norm(ensemble.values, r)
     n = sups.size
-    moment = float(np.mean(sups))
-    estimate = moment ** (1.0 / r)
     if moment == 0.0 or n < 2:
         se = 0.0
     else:

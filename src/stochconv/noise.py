@@ -192,9 +192,13 @@ def wiener_values(ensemble: NoiseEnsemble, path: int) -> np.ndarray:
     """
     if not 0 <= path < ensemble.n_paths:
         raise StochConvError(f"path index {path} out of range [0, {ensemble.n_paths})")
-    dim = ensemble.spec.space.dim
-    values = np.zeros((ensemble.grid.n_steps + 1, dim))
-    np.cumsum(ensemble.increments[path], axis=0, out=values[1:])
+    return prefix_sums(ensemble.increments[path : path + 1])[0]
+
+
+def prefix_sums(steps: np.ndarray) -> np.ndarray:
+    """Node values 0, y_0, y_0 + y_1, ... of per-step values y (paths, N, dim)."""
+    values = np.zeros((steps.shape[0], steps.shape[1] + 1, steps.shape[2]))
+    np.cumsum(steps, axis=1, out=values[:, 1:, :])
     return values
 
 

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import DimensionMismatchError, StochConvError
 from .hilbert import (
     SemigroupSpec, SpectralOperator, apply_operator, hs_norm, lag_operators, operator_matrix,
+    weight_eigenvalues,
 )
-from .ito import CONSTANT, TIME_VARYING, IntegrandSpec, NormReport, ito_integrate, lr_path_norm
+from .ito import CONSTANT, NormReport, check_compatible, step_matrices, step_products, sup_lr_norm
 from .noise import NoiseEnsemble, TimeGrid
 
 __all__ = [
@@ -146,19 +147,6 @@ def estimate_lpqr(
     return NormReport(estimate, se, p=p, q=q, r=r, n_paths=n_paths, n_boot=n_boot)
 
 
-def _node_matrices(phi, n_nodes: int) -> np.ndarray:
-    """Phi_{t_i} for i < n_nodes; a time-varying integrand one node short repeats its last."""
-    if phi.kind == CONSTANT:
-        return np.broadcast_to(
-            operator_matrix(phi.constant), (n_nodes, phi.codomain.dim, phi.domain.dim)
-        )
-    if phi.kind != TIME_VARYING:
-        raise StochConvError("field construction requires a deterministic integrand")
-    if phi.node_matrices.shape[0] < n_nodes:
-        return np.concatenate([phi.node_matrices, phi.node_matrices[-1:]], axis=0)
-    return phi.node_matrices[:n_nodes]
-
-
 def singular_kernel_field(
     phi,
     semigroup: SemigroupSpec,
@@ -176,12 +164,10 @@ def singular_kernel_field(
     n_nodes = grid.n_steps + 1
     n_lags = grid.n_steps
     # the columns Phi_s e_u as vectors: axis 1 is u, the last axis is H
-    columns = np.swapaxes(_node_matrices(phi, n_nodes), 1, 2)
+    columns = np.swapaxes(step_matrices(phi, n_lags), 1, 2)
     if not 0.0 <= beta < 1.0:
         raise StochConvError(f"beta must lie in [0, 1), got {beta}")
-    q = np.ones(phi.domain.dim) if weight is None else weight.eigenvalues
-    if np.any(q < 0.0):
-        raise StochConvError("weight eigenvalues must be nonnegative")
+    q = weight_eigenvalues(weight, phi.domain.dim)
     lag_times = np.arange(1, n_lags + 1) * grid.dt
     kernel = lag_times ** (-beta) if beta > 0.0 else np.ones(n_lags)
     lags = lag_operators(semigroup, grid.dt, n_lags)
@@ -208,10 +194,8 @@ def deterministic_lpq_norm(
     if phi.kind == CONSTANT:
         value = hs_norm(phi.constant, weight)
         return value * grid.horizon ** (1.0 / q_exponent)
-    if phi.kind != TIME_VARYING:
-        raise StochConvError("norm requires a deterministic integrand")
-    q = np.ones(phi.domain.dim) if weight is None else weight.eigenvalues
-    mats = phi.node_matrices[: grid.n_steps]
+    q = weight_eigenvalues(weight, phi.domain.dim)
+    mats = step_matrices(phi, grid.n_steps)
     hs = np.sqrt(np.einsum("ihu,u->i", mats**2, q))
     return float((np.sum(hs**q_exponent) * grid.dt) ** (1.0 / q_exponent))
 
@@ -224,25 +208,30 @@ def integral_norm_estimate(
 
     Slice k is the deterministic integrand s -> 1_{s<t_k} (t_k-s)^(-beta) S(t_k-s) Phi_s,
     gathered from one lag table.  Returns the largest ratio, over k = 1..N, of the
-    L^r path norm of its Ito integral to its L^q time norm (0 if every slice vanishes).
+    L^r path norm of its Ito integral, taken only over its support i < k in one
+    (paths, N, dim_H) buffer, to its L^q time norm (0 if every slice vanishes).
     """
+    if q_exponent < 1.0:
+        raise StochConvError(f"exponent must be >= 1, got {q_exponent}")
+    check_compatible(phi, noise)
     grid = noise.grid
     n_steps, dt = grid.n_steps, grid.dt
-    nodes = _node_matrices(phi, n_steps + 1)[:n_steps]
+    q = weight_eigenvalues(weight, phi.domain.dim)
+    nodes = step_matrices(phi, n_steps)
     lag_mats = np.stack([operator_matrix(op) for op in lag_operators(semigroup, dt, n_steps)])
     # scalar pow: numpy's vectorised pow can differ from it in the last bit
     kernel = np.array([(j * dt) ** (-beta) for j in range(1, n_steps + 1)])
+    inc = noise.increments
+    paths, hs = np.empty((inc.shape[0], n_steps, phi.codomain.dim)), np.zeros(n_steps)
     estimate = 0.0
-    for t_index in range(1, n_steps + 1):
-        mats = np.zeros((n_steps, phi.codomain.dim, phi.domain.dim))
-        # node i < t_index sits at lag t_index - i
-        mats[:t_index] = kernel[t_index - 1 :: -1, None, None] * (
-            lag_mats[t_index:0:-1] @ nodes[:t_index]
-        )
-        slice_phi = IntegrandSpec.from_matrices(phi.domain, phi.codomain, mats)
-        slice_norm = deterministic_lpq_norm(slice_phi, grid, q_exponent, weight=weight)
+    for k in range(1, n_steps + 1):
+        # node i < k sits at lag k - i; hs stays zero past k, as in the N-step slice
+        mats = kernel[k - 1 :: -1, None, None] * (lag_mats[k:0:-1] @ nodes[:k])
+        hs[:k] = np.sqrt(np.einsum("ihu,u->i", mats**2, q))
+        slice_norm = float((np.sum(hs**q_exponent) * dt) ** (1.0 / q_exponent))
         if slice_norm == 0.0:
             continue
-        ratio = lr_path_norm(ito_integrate(slice_phi, noise), r).estimate / slice_norm
-        estimate = max(estimate, ratio)
+        values = step_products(mats, inc[:, :k], out=paths[:, :k])
+        np.cumsum(values, axis=1, out=values)
+        estimate = max(estimate, sup_lr_norm(values, r)[2] / slice_norm)
     return estimate

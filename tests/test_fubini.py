@@ -3,12 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochconv import (
     DenseOperator,
     FubiniFamily,
     HilbertSpec,
     IntegrandSpec,
+    PathEnsemble,
     QWienerSpec,
     SpectralOperator,
     StochConvError,
@@ -21,6 +24,7 @@ from stochconv import (
 )
 from stochconv import fubini
 from stochconv.config import parse_config
+from stochconv.convolution import compare
 from stochconv.experiments import run_experiment
 
 from conftest import relative_gap
@@ -201,4 +205,88 @@ def test_fubini_experiment_builds_each_side_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fubini, "integrand_products", counting)
     _, ok = run_experiment(parse_config(data), str(tmp_path))
     assert ok
-    assert len(calls) == 2 * n_atoms
+    assert len(calls) == n_atoms
+
+
+def test_fubini_report_makes_one_products_call_per_atom(monkeypatch):
+    noise = _noise(dim=2, n_steps=20, n_paths=4, seed=5)
+    base = _constant_integrand(dim=2)
+    family = FubiniFamily.from_factory(
+        [0.1, 0.4, 0.7, 1.0, 1.3], [0.2] * 5, lambda y: base.scaled(y)
+    )
+    calls = []
+    original = fubini.integrand_products
+
+    def counting(phi, noise):
+        calls.append(phi)
+        return original(phi, noise)
+
+    monkeypatch.setattr(fubini, "integrand_products", counting)
+    fubini_report(family, noise)
+    assert len(calls) == family.n_atoms
+    assert all(got is phi for got, phi in zip(calls, family.integrands))
+
+
+# ------------------------------------------- oracle: one products loop per side
+
+
+def _scaled_products(family, noise, j):
+    products = fubini.integrand_products(family.integrands[j], noise)
+    products *= family.weights[j]
+    return products
+
+
+def _mix_first_oracle(family, noise):
+    """Mix-first side built by its own loop over the atoms (atoms inside the steps)."""
+    mixed = _scaled_products(family, noise, 0)
+    for j in range(1, family.n_atoms):
+        mixed += _scaled_products(family, noise, j)
+    values = np.zeros((mixed.shape[0], mixed.shape[1] + 1, mixed.shape[2]))
+    np.cumsum(mixed, axis=1, out=values[:, 1:, :])
+    return values
+
+
+def _mix_last_oracle(family, noise):
+    """Mix-last side built by its own loop over the atoms (atoms reduced last)."""
+    first = np.cumsum(_scaled_products(family, noise, 0), axis=1)
+    total = np.zeros((first.shape[0], noise.grid.n_steps + 1, first.shape[2]))
+    total[:, 1:, :] = first
+    for j in range(1, family.n_atoms):
+        total[:, 1:, :] += np.cumsum(_scaled_products(family, noise, j), axis=1)
+    return total
+
+
+def _random_family(rng, dim, n_steps, n_atoms, kind):
+    space = HilbertSpec(dim)
+
+    def member(_):
+        if kind == "spectral":
+            eigenvalues = rng.normal(size=dim)
+            return IntegrandSpec.from_constant(SpectralOperator(space, space, eigenvalues))
+        if kind == "dense":
+            mat = rng.normal(size=(dim, dim))
+            return IntegrandSpec.from_constant(DenseOperator(space, space, mat))
+        return IntegrandSpec.from_matrices(space, space, rng.normal(size=(n_steps, dim, dim)))
+
+    return FubiniFamily.from_factory(range(n_atoms), rng.uniform(0.0, 1.0, n_atoms), member)
+
+
+@given(
+    dim=st.integers(1, 3),
+    n_steps=st.integers(1, 24),
+    n_paths=st.integers(1, 6),
+    n_atoms=st.integers(1, 6),
+    kind=st.sampled_from(["spectral", "dense", "time_varying"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_both_orders_match_one_loop_per_side_oracle(dim, n_steps, n_paths, n_atoms, kind, seed):
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, dim, n_steps, n_atoms, kind)
+    noise = _noise(dim=dim, n_steps=n_steps, n_paths=n_paths, seed=seed)
+    first, last = _mix_first_oracle(family, noise), _mix_last_oracle(family, noise)
+    assert np.array_equal(integrate_then_ito(family, noise).values, first)
+    assert np.array_equal(ito_then_integrate(family, noise).values, last)
+    grid = noise.grid
+    oracle = compare(PathEnsemble(first, grid), PathEnsemble(last, grid))
+    assert fubini_report(family, noise).sup_abs == oracle.sup_abs

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochconv import (
     ConvolutionRequest,
+    DenseOperator,
+    DimensionMismatchError,
     HilbertSpec,
     IntegrandSpec,
+    NormReport,
     PathEnsemble,
     QWienerSpec,
     SemigroupSpec,
@@ -23,8 +28,9 @@ from stochconv import (
     lr_path_norm,
     sample_increments,
 )
+from stochconv import norms
 from stochconv.convolution import smoothing_bound_factor
-from stochconv.hilbert import operator_matrix, semigroup_eval
+from stochconv.hilbert import lag_operators, operator_matrix, semigroup_eval
 from stochconv.norms import deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field
 
 
@@ -243,3 +249,145 @@ def test_integral_norm_estimate_matches_per_pair_oracle(rng, kind):
         assert got == oracle
     else:  # S(dt)^j against expm(j dt A): rounding only
         assert got == pytest.approx(oracle, rel=1e-12)
+
+
+def _padded_slice_battery(phi, nodes, sg, noise, beta, q, r, weight):
+    """The battery with every slice a zero-padded N-step integrand, integrated over all N steps."""
+    grid = noise.grid
+    n_steps, dt = grid.n_steps, grid.dt
+    lag_mats = np.stack([operator_matrix(op) for op in lag_operators(sg, dt, n_steps)])
+    kernel = np.array([(j * dt) ** (-beta) for j in range(1, n_steps + 1)])
+    best = 0.0
+    for k in range(1, n_steps + 1):
+        mats = np.zeros((n_steps, phi.codomain.dim, phi.domain.dim))
+        mats[:k] = kernel[k - 1 :: -1, None, None] * (lag_mats[k:0:-1] @ nodes[:k])
+        slice_phi = IntegrandSpec.from_matrices(phi.domain, phi.codomain, mats)
+        norm = deterministic_lpq_norm(slice_phi, grid, q, weight=weight)
+        if norm > 0.0:
+            best = max(best, lr_path_norm(ito_integrate(slice_phi, noise), r).estimate / norm)
+    return best
+
+
+@given(
+    dim=st.integers(1, 3),
+    n_steps=st.integers(1, 24),
+    n_paths=st.integers(1, 6),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    dense=st.booleans(),
+    kind=st.sampled_from(["spectral", "dense", "time_varying"]),
+    q=st.sampled_from([1.0, 2.0, 3.5]),
+    r=st.sampled_from([1.0, 2.0, 4.0]),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_integral_norm_estimate_matches_padded_slice_oracle(
+    dim, n_steps, n_paths, beta, dense, kind, q, r, weighted, seed
+):
+    rng = np.random.default_rng(seed)
+    space = HilbertSpec(dim)
+    rates = rng.uniform(0.0, 3.0, dim)
+    if dense:  # non-normal: strict upper coupling on top of the diagonal decay
+        coupling = np.triu(rng.normal(size=(dim, dim)), 1)
+        sg = SemigroupSpec(space, generator=coupling - np.diag(rates))
+    else:
+        sg = SemigroupSpec(space, rates=rates, horizon=1.0)
+    if kind == "spectral":
+        phi = IntegrandSpec.from_constant(SpectralOperator(space, space, rng.normal(size=dim)))
+    elif kind == "dense":
+        phi = IntegrandSpec.from_constant(DenseOperator(space, space, rng.normal(size=(dim, dim))))
+    else:  # N or N + 1 node matrices
+        mats = rng.normal(size=(n_steps + int(rng.integers(0, 2)), dim, dim))
+        phi = IntegrandSpec.from_matrices(space, space, mats)
+    nodes = (
+        phi.node_matrices[:n_steps] if kind == "time_varying"
+        else np.broadcast_to(operator_matrix(phi.constant), (n_steps, dim, dim))
+    )
+    # some weight eigenvalues are zero, so whole slices can vanish at dim 1
+    weight = (
+        SpectralOperator(space, space, rng.uniform(0.0, 1.0, dim) * (rng.random(dim) < 0.8))
+        if weighted else None
+    )
+    noise = sample_increments(
+        QWienerSpec(space, rng.uniform(0.1, 1.0, dim)), TimeGrid(1.0, n_steps), seed, n_paths
+    )
+    got = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
+    assert got == _padded_slice_battery(phi, nodes, sg, noise, beta, q, r, weight)
+
+
+def test_integral_norm_estimate_integrates_each_slice_over_its_support(monkeypatch):
+    space, grid = HilbertSpec(2), TimeGrid(1.0, 7)
+    sg = SemigroupSpec(space, rates=[1.0, 2.0], horizon=1.0)
+    phi = IntegrandSpec.from_constant(SpectralOperator(space, space, [1.0, 0.5]))
+    noise = sample_increments(QWienerSpec(space, [1.0, 1.0]), grid, 3, 5)
+    shapes = []
+    original = norms.step_products
+
+    def recording(mats, inc, out=None):
+        shapes.append((mats.shape[0], inc.shape[1], out.shape[1]))
+        return original(mats, inc, out=out)
+
+    def refuse(self):
+        raise AssertionError(f"the battery built a {type(self).__name__}")
+
+    monkeypatch.setattr(norms, "step_products", recording)
+    for cls in (IntegrandSpec, PathEnsemble, NormReport):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0) > 0.0
+    # slice k multiplies the k steps before t_k and no step past them
+    assert shapes == [(k, k, k) for k in range(1, 8)]
+
+
+def _weight_mismatch_calls():
+    space, grid = HilbertSpec(2), TimeGrid(1.0, 6)
+    sg = SemigroupSpec(space, rates=[1.0, 2.0], horizon=1.0)
+    phi = IntegrandSpec.from_matrices(space, space, np.ones((6, 2, 2)))
+    noise = sample_increments(QWienerSpec(space, [1.0, 1.0]), grid, 3, 4)
+    wrong = SpectralOperator(HilbertSpec(3), HilbertSpec(3), [1.0, 1.0, 1.0])
+    return {
+        "singular_kernel_field": lambda: singular_kernel_field(phi, sg, grid, 0.3, weight=wrong),
+        "deterministic_lpq_norm": lambda: deterministic_lpq_norm(phi, grid, 2.0, weight=wrong),
+        "integral_norm_estimate": lambda: integral_norm_estimate(
+            phi, sg, noise, 0.3, 2.0, 4.0, weight=wrong
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_weight_mismatch_calls()))
+def test_weight_on_another_space_is_a_dimension_mismatch(name):
+    with pytest.raises(DimensionMismatchError, match="weight must act"):
+        _weight_mismatch_calls()[name]()
+
+
+def test_deterministic_lpq_norm_rejects_negative_weight():
+    space, grid = HilbertSpec(2), TimeGrid(1.0, 6)
+    phi = IntegrandSpec.from_matrices(space, space, np.ones((6, 2, 2)))
+    weight = SpectralOperator(space, space, [1.0, -0.5])
+    with pytest.raises(StochConvError, match="nonnegative"):
+        deterministic_lpq_norm(phi, grid, 2.0, weight=weight)
+
+
+def test_singular_field_needs_one_matrix_per_step(rng):
+    # the node-N matrix never enters the field, so N matrices give the same field as N + 1
+    space, grid = HilbertSpec(2), TimeGrid(1.0, 6)
+    sg = SemigroupSpec(space, rates=[1.0, 2.0], horizon=1.0)
+    mats = rng.normal(size=(7, 2, 2))
+    fields = [
+        singular_kernel_field(IntegrandSpec.from_matrices(space, space, m), sg, grid, 0.3)
+        for m in (mats, mats[:6])
+    ]
+    assert np.array_equal(fields[0].magnitudes, fields[1].magnitudes)
+
+
+@pytest.mark.parametrize("name", ["deterministic_lpq_norm", "integral_norm_estimate"])
+def test_integrand_short_of_one_matrix_per_step_is_a_dimension_mismatch(name):
+    # 4 node matrices on a 10-step grid
+    space, grid = HilbertSpec(1), TimeGrid(1.0, 10)
+    phi = IntegrandSpec.from_matrices(space, space, np.ones((4, 1, 1)))
+    sg = SemigroupSpec(space, rates=[1.0], horizon=1.0)
+    noise = sample_increments(QWienerSpec(space, [1.0]), grid, 3, 4)
+    with pytest.raises(DimensionMismatchError, match="one operator per step"):
+        if name == "deterministic_lpq_norm":
+            deterministic_lpq_norm(phi, grid, 2.0)
+        else:
+            integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0)
