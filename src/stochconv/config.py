@@ -230,6 +230,12 @@ def parse_config(data: dict) -> ScenarioConfig:
     if isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be a nonnegative integer below 2**64")
     n_paths = _positive_int(data, "n_paths", "config")
+    dim = max(space_u.dim, space_h.dim)
+    if 8 * n_paths * (n_steps + 1) * dim > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"n_paths={n_paths} and grid.N={n_steps} need a ({n_paths}, {n_steps + 1}, {dim})"
+            " float64 array, larger than the address space"
+        )
     workers = _positive_int(data, "workers", "config") if "workers" in data else 1
     options = data.get("options", {})
     if not isinstance(options, dict):

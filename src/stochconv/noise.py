@@ -1,13 +1,14 @@
 """Q-Wiener increment sampling on uniform grids with counter-based seeding.
 
 Every increment is a pure function of ``(master_seed, path, step, mode)``:
-the four indices are absorbed one at a time into a 64-bit state with a
-splitmix64-style avalanche (xor-shift/multiply finalizer), two salted output
-words are mapped to 53-bit uniforms, and a Box-Muller cosine transform turns
-them into one standard normal.  This pins the stream completely: regeneration
-is byte-identical across runs, chunk sizes and thread counts.  The transform
-uses u1 in (0, 1], so the sampled tail is capped at sqrt(-2 log 2^-53), about
-8.6 standard deviations.
+seed, path, step and mode are absorbed in that order into a 64-bit state with
+a splitmix64-style avalanche (xor-shift/multiply finalizer), each at the
+broadcast shape of those before it.  Two salted output words branch off last,
+map to 53-bit uniforms, and a Box-Muller cosine transform turns them into one
+standard normal.  Blocks are generated in cache-sized tiles of a few paths.
+Regeneration is byte-identical across runs, tiles, chunks and thread counts.
+The transform uses u1 in (0, 1], so the sampled tail is capped at
+sqrt(-2 log 2^-53), about 8.6 standard deviations.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SH30, _SH27, _SH31, _SH11 = (np.uint64(k) for k in (30, 27, 31, 11))
 
 _DUMP_MAGIC = b"QWIENER1"
+_TILE_ELEMENTS = 65536  # per generation tile, as convolution._BLOCK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -124,20 +126,21 @@ def _mix64(state: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def standard_gaussians(seed: int, path_ix, step_ix, mode_ix) -> np.ndarray:
     """One N(0,1) draw per broadcasted (path, step, mode) counter."""
     shape = np.broadcast_shapes(np.shape(path_ix), np.shape(step_ix), np.shape(mode_ix))
-    work_shape = shape if shape else (1,)
-    words = []
     with np.errstate(over="ignore"):
-        for salt in (0, 1):
-            state = np.full(work_shape, np.uint64(seed) + _GOLD, dtype=np.uint64)
-            scratch = np.empty(work_shape, dtype=np.uint64)
-            for index in (path_ix, step_ix, mode_ix, salt):
-                state += np.asarray(index, dtype=np.uint64) * _GOLD
-                _mix64(state, scratch)
-            words.append(state >> _SH11)
-    u1 = words[0].astype(np.float64)
+        # seed, path, step, mode: each absorbed at the broadcast shape of those before it
+        state = np.full((1,), np.uint64(seed) + _GOLD, dtype=np.uint64)
+        for index in (path_ix, step_ix, mode_ix):
+            state = state + np.asarray(index, dtype=np.uint64) * _GOLD
+            scratch = np.empty_like(state)
+            _mix64(state, scratch)
+        # the salt is absorbed last: salt 0 adds nothing, salt 1 adds _GOLD
+        word0 = _mix64(state.copy(), scratch)
+        state += _GOLD
+        word1 = _mix64(state, scratch)
+    u1 = np.right_shift(word0, _SH11, out=word0).astype(np.float64)
     u1 += 1.0
     u1 *= 2.0**-53
-    u2 = words[1].astype(np.float64)
+    u2 = np.right_shift(word1, _SH11, out=word1).astype(np.float64)
     u2 *= 2.0**-53
     np.log(u1, out=u1)
     u1 *= -2.0
@@ -167,19 +170,23 @@ def sample_increments(
     Returns:
       ``NoiseEnsemble`` with increments of shape (n_paths, N, dim).
     """
-    if n_paths < 1:
-        raise StochConvError(f"need at least one path, got {n_paths}")
+    if not isinstance(master_seed, (int, np.integer)) or not 0 <= master_seed < 2**64:
+        raise StochConvError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise StochConvError(f"n_paths must be a positive integer, got {n_paths!r}")
     n_steps, dim = grid.n_steps, spec.space.dim
     scale = np.sqrt(spec.q_eigenvalues * grid.dt)
     out = np.empty((n_paths, n_steps, dim))
     step_ix = np.arange(n_steps, dtype=np.uint64)[None, :, None]
     mode_ix = np.arange(dim, dtype=np.uint64)[None, None, :]
+    tile = max(1, _TILE_ELEMENTS // (n_steps * dim))
 
     def fill(start, stop):
-        path_ix = np.arange(start, stop, dtype=np.uint64)[:, None, None]
-        block = standard_gaussians(master_seed, path_ix, step_ix, mode_ix)
-        block *= scale
-        out[start:stop] = block
+        for lo in range(start, stop, tile):
+            hi = min(lo + tile, stop)
+            path_ix = np.arange(lo, hi, dtype=np.uint64)[:, None, None]
+            z = standard_gaussians(master_seed, path_ix, step_ix, mode_ix)
+            np.multiply(z, scale, out=out[lo:hi])
 
     run_over_paths(fill, n_paths, workers=workers)
     return NoiseEnsemble(out, master_seed, grid, spec)
@@ -209,8 +216,10 @@ def coarsen_increments(ensemble: NoiseEnsemble, factor: int) -> NoiseEnsemble:
     discrepancies across grid resolutions directly comparable.
     """
     n_steps = ensemble.grid.n_steps
-    if factor < 1 or n_steps % factor != 0:
-        raise StochConvError(f"coarsening factor {factor} must divide n_steps={n_steps}")
+    if not isinstance(factor, (int, np.integer)) or factor < 1 or n_steps % factor != 0:
+        raise StochConvError(
+            f"coarsening factor {factor!r} must be a positive integer dividing n_steps={n_steps}"
+        )
     if factor == 1:
         return ensemble
     coarse_steps = n_steps // factor

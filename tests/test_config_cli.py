@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stochconv import ConfigError
@@ -157,6 +158,11 @@ def test_config_hash_is_canonical():
             "eigenvalues",
             id="eigenvalues-nested",
         ),
+        pytest.param(
+            lambda d: d.update(grid={"T": 1.0, "N": 10**12}, n_paths=10**9),
+            "grid.N",
+            id="paths-array-unallocatable",
+        ),
     ],
 )
 def test_schema_violations_raise_config_error(mutate, fragment):
@@ -165,6 +171,22 @@ def test_schema_violations_raise_config_error(mutate, fragment):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(data)
     assert fragment.split(".")[-1] in str(excinfo.value)
+
+
+def test_largest_allocatable_path_array_is_accepted():
+    # arithmetic only: parsing allocates nothing of size n_paths x (N + 1)
+    data = copy.deepcopy(_base_config())
+    data["dims"] = {"U": 2, "H": 2}
+    data["semigroup"]["rates"] = [1.0, 1.0]
+    data["q_eigenvalues"] = [1.0, 1.0]
+    data["integrand"]["operator"]["eigenvalues"] = [1.0, 1.0]
+    data["grid"]["N"] = 2**30 - 1
+    limit = np.iinfo(np.intp).max // (8 * 2**30 * 2)
+    data["n_paths"] = limit
+    assert parse_config(data).n_paths == limit
+    data["n_paths"] = limit + 1
+    with pytest.raises(ConfigError, match="n_paths"):
+        parse_config(data)
 
 
 def test_factorize_compare_needs_admissible_beta():

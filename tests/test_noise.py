@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -14,8 +15,10 @@ from stochconv import (
     sample_increments,
     wiener_values,
 )
-from stochconv import _parallel
+from stochconv import _parallel, noise
 from stochconv.noise import load_increments, save_increments, standard_gaussians
+
+_U64 = st.integers(0, 2**64 - 1)
 
 
 def _spec(dim, q=None):
@@ -235,3 +238,121 @@ def test_invalid_arguments():
     ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
     with pytest.raises(StochConvError):
         wiener_values(ens, 2)
+
+
+def _oracle_gaussians(seed, path_ix, step_ix, mode_ix):
+    """Reference generator: the full (seed, path, step, mode, salt) absorption per salt."""
+    shape = np.broadcast_shapes(np.shape(path_ix), np.shape(step_ix), np.shape(mode_ix))
+    work_shape = shape if shape else (1,)
+    words = []
+    with np.errstate(over="ignore"):
+        for salt in (0, 1):
+            state = np.full(work_shape, np.uint64(seed) + noise._GOLD, dtype=np.uint64)
+            scratch = np.empty(work_shape, dtype=np.uint64)
+            for index in (path_ix, step_ix, mode_ix, salt):
+                state += np.asarray(index, dtype=np.uint64) * noise._GOLD
+                noise._mix64(state, scratch)
+            words.append(state >> noise._SH11)
+    u1 = words[0].astype(np.float64)
+    u1 += 1.0
+    u1 *= 2.0**-53
+    u2 = words[1].astype(np.float64)
+    u2 *= 2.0**-53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1.reshape(shape)
+
+
+def _counters(form, paths, steps, modes):
+    if form == "scalar":
+        return paths[0], steps[0], modes[0]
+    if form == "1-d":
+        path_ix = np.array(paths, dtype=np.uint64)
+        return path_ix, np.resize(np.array(steps, dtype=np.uint64), path_ix.shape), modes[0]
+    return (
+        np.array(paths, dtype=np.uint64)[:, None, None],
+        np.array(steps, dtype=np.uint64)[None, :, None],
+        np.array(modes, dtype=np.uint64)[None, None, :],
+    )
+
+
+@given(
+    seed=_U64,
+    paths=st.lists(_U64, min_size=1, max_size=5),
+    steps=st.lists(_U64, min_size=1, max_size=5),
+    modes=st.lists(_U64, min_size=1, max_size=4),
+    form=st.sampled_from(["scalar", "1-d", "broadcast"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_gaussians_match_the_full_absorption_oracle(seed, paths, steps, modes, form):
+    counters = _counters(form, paths, steps, modes)
+    fast = standard_gaussians(seed, *counters)
+    slow = _oracle_gaussians(seed, *counters)
+    assert fast.shape == slow.shape
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("tiny_tiles", [False, True], ids=["module-tile", "tiny-tile"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim", [1, 8])
+@pytest.mark.parametrize("n_paths", [1, 5, 257, 300])
+def test_sample_increments_match_oracle_blocks(monkeypatch, n_paths, dim, workers, tiny_tiles):
+    n_steps, seed = 40, 2**64 - 3
+    if tiny_tiles:
+        # three paths per tile: tiles straddle neither block nor path count evenly
+        monkeypatch.setattr(noise, "_TILE_ELEMENTS", 3 * n_steps * dim + 1)
+    spec = _spec(dim, [0.5 + k for k in range(dim)])
+    grid = TimeGrid(1.5, n_steps)
+    ens = sample_increments(spec, grid, seed, n_paths, workers=workers)
+    scale = np.sqrt(spec.q_eigenvalues * grid.dt)
+    step_ix = np.arange(n_steps, dtype=np.uint64)[None, :, None]
+    mode_ix = np.arange(dim, dtype=np.uint64)[None, None, :]
+    expected = np.empty((n_paths, n_steps, dim))
+    for start, stop in _parallel.path_blocks(n_paths):
+        path_ix = np.arange(start, stop, dtype=np.uint64)[:, None, None]
+        block = _oracle_gaussians(seed, path_ix, step_ix, mode_ix)
+        block *= scale
+        expected[start:stop] = block
+    assert ens.increments.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed,shape,digest",
+    [
+        (99, (3, 7, 3), "6d0a24f17821f125ee80f05f789f132bbdd7bb37b72535db11d82b0f5a3bd1b9"),
+        (
+            2**64 - 1,
+            (5, 11, 1),
+            "f77155fd7ea343f8abfadb84bac29832cf95a8def9655b465e83b4a5cc57d569",
+        ),
+    ],
+    ids=["seed-99", "seed-2pow64-minus-1"],
+)
+def test_stream_digest_is_pinned(seed, shape, digest):
+    # the stream is fixed: a faster generator must reproduce these digests
+    n_paths, n_steps, dim = shape
+    ens = sample_increments(_spec(dim), TimeGrid(1.0, n_steps), seed, n_paths)
+    assert hashlib.sha256(ens.increments.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        pytest.param({"master_seed": -1, "n_paths": 2}, "master_seed", id="seed-negative"),
+        pytest.param({"master_seed": 2**64, "n_paths": 2}, "master_seed", id="seed-2pow64"),
+        pytest.param({"master_seed": 0, "n_paths": 2.5}, "n_paths", id="n_paths-float"),
+    ],
+)
+def test_sample_increments_rejects_bad_arguments(kwargs, name):
+    with pytest.raises(StochConvError, match=name):
+        sample_increments(_spec(1), TimeGrid(1.0, 4), **kwargs)
+
+
+def test_coarsening_rejects_a_float_factor():
+    ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
+    with pytest.raises(StochConvError, match="factor"):
+        coarsen_increments(ens, 2.0)
