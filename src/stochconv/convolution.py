@@ -14,10 +14,10 @@ tightens under grid refinement with common (aggregated) noise.
 
 The singular stochastic kernel is only ever evaluated at lags >= dt: the
 left-point rule excludes the i = k term, so no regularization is needed.
-Semigroup values at lag j*dt come from ``hilbert.lag_table`` (or its operator
-form ``lag_operators``), the one place where S(j dt) is decided
-(exp(-rate j dt) for a diagonal semigroup, the j-th power of S(dt) for a dense
-one, matching the prefix recursion of the direct pipeline).
+Semigroup values at lag j*dt come from ``hilbert.lag_table``, the one place
+where S(j dt) is decided (exp(-rate j dt) for a diagonal semigroup, the j-th
+power of S(dt) for a dense one, matching the prefix recursion of the direct
+pipeline, whose step S(dt) is ``semigroup_eval`` at dt, the table's row 1).
 
 The kernel and smoothing stages share one causal lag-convolution engine,
 ``_lag_convolve``: a zero-padded real FFT along the time axis with the kernel
@@ -25,7 +25,8 @@ sequence w_j S(j dt), multiplied mode by mode for a diagonal semigroup and by
 the d x d kernel matrix at each frequency for a dense one.  It costs
 O(P d N log N) (diagonal) or O(P d^2 N log N) (dense) against the
 O(P d N^2) of the lag-by-lag sum, and its rounding error is relative to the
-largest values of the input and the kernel, not to each output node.
+largest values of the input and the kernel, not to each output node.  Paths
+are transformed one ``_parallel.path_blocks`` block (FFT length x d) at a time.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._parallel import path_blocks
 from .errors import DimensionMismatchError, StochConvError
-from .hilbert import SemigroupSpec, apply_operator, lag_operators, lag_table
+from .hilbert import SemigroupSpec, apply_operator, lag_table, semigroup_eval
 from .ito import IntegrandSpec, PathEnsemble, integrand_products
 from .noise import NoiseEnsemble
 
@@ -53,11 +55,6 @@ __all__ = [
     "smoothing_bound_factor",
     "left_lr_norm",
 ]
-
-# Time-domain elements (FFT length x dim x paths) of one path block in the lag
-# engine: keeps each transform temporary near 0.5 MB whatever P, N and d are.
-_BLOCK_ELEMENTS = 65536
-
 
 @dataclass(frozen=True)
 class ConvolutionRequest:
@@ -84,7 +81,7 @@ class ConvolutionRequest:
             )
         if not 0.0 <= self.beta < 1.0:
             raise StochConvError(f"beta must lie in [0, 1), got {self.beta}")
-        if self.r <= 1.0:
+        if not self.r > 1.0:  # NaN fails too
             raise StochConvError(f"r must be > 1, got {self.r}")
 
 
@@ -193,9 +190,8 @@ def _lag_convolve(
     spectrum = np.fft.rfft(kernel, size, axis=0)  # (F, dim) diagonal, (F, dim, dim) dense
     n_paths, _, dim = x.shape
     values = np.zeros((n_paths, n_lags + 1, dim))
-    block = max(1, _BLOCK_ELEMENTS // (size * dim))
-    for start in range(0, n_paths, block):
-        signal = np.fft.rfft(x[start : start + block, :n_lags], size, axis=1)
+    for start, stop in path_blocks(n_paths, size * dim):
+        signal = np.fft.rfft(x[start:stop, :n_lags], size, axis=1)
         if spectrum.ndim == 2:
             product = signal * spectrum
         else:
@@ -203,7 +199,7 @@ def _lag_convolve(
             product = signal[:, :, :1] * spectrum[:, :, 0]
             for e in range(1, dim):
                 product += signal[:, :, e : e + 1] * spectrum[:, :, e]
-        values[start : start + block, 1:] = np.fft.irfft(product, size, axis=1)[:, :n_lags]
+        values[start:stop, 1:] = np.fft.irfft(product, size, axis=1)[:, :n_lags]
     return values
 
 
@@ -220,7 +216,7 @@ def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
     n_paths, n_steps, dim_h = products.shape
     dt = req.noise.grid.dt
     values = np.zeros((n_paths, n_steps + 1, dim_h))
-    step = lag_operators(req.semigroup, dt, 1)[1]
+    step = semigroup_eval(req.semigroup, dt)
     state = np.zeros((n_paths, dim_h))
     for k in range(n_steps):
         state = apply_operator(step, state + products[:, k, :])

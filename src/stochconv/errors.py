@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types and the integer-argument test shared across the library."""
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class StochConvError(Exception):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionMismatchError, StochConvError
+from .errors import DimensionMismatchError, StochConvError, is_integer
 
 __all__ = [
     "HilbertSpec",
@@ -26,7 +26,6 @@ __all__ = [
     "hs_norm",
     "semigroup_eval",
     "lag_table",
-    "lag_operators",
     "operator_matrix",
     "identity_operator",
 ]
@@ -46,8 +45,8 @@ class HilbertSpec:
     label: str = "H"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise StochConvError(f"space dimension must be >= 1, got {self.dim}")
+        if not is_integer(self.dim) or self.dim < 1:
+            raise StochConvError(f"space dimension dim must be an integer >= 1, got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -228,8 +227,8 @@ class SemigroupSpec:
     def __post_init__(self):
         if (self.rates is None) == (self.generator is None):
             raise StochConvError("provide exactly one of rates / generator")
-        if self.horizon <= 0.0:
-            raise StochConvError("horizon must be positive")
+        if not self.horizon > 0.0:  # NaN fails too
+            raise StochConvError(f"horizon must be positive, got {self.horizon!r}")
         if self.rates is not None:
             object.__setattr__(self, "rates", _frozen_array(self.rates))
             if self.rates.shape != (self.space.dim,):
@@ -238,8 +237,8 @@ class SemigroupSpec:
                     expected=(self.space.dim,),
                     got=self.rates.shape,
                 )
-            if np.any(self.rates < 0.0):
-                raise StochConvError("diagonal semigroup rates must be >= 0")
+            if not np.all((self.rates >= 0.0) & (self.rates < np.inf)):  # NaN fails too
+                raise StochConvError("diagonal semigroup rates must be finite and >= 0")
             object.__setattr__(self, "bound", 1.0)
             object.__setattr__(self, "sampled_bound", 1.0)
         else:
@@ -297,9 +296,3 @@ def lag_table(sg: SemigroupSpec, dt: float, n_lags: int) -> np.ndarray:
     for j in range(2, n_lags + 1):
         table[j] = table[j - 1] @ step
     return table
-
-
-def lag_operators(sg: SemigroupSpec, dt: float, n_lags: int) -> list[Operator]:
-    """The rows of ``lag_table`` as ``SpectralOperator`` (diagonal) or ``DenseOperator``."""
-    kind = SpectralOperator if sg.is_diagonal else DenseOperator
-    return [kind(sg.space, sg.space, row) for row in lag_table(sg, dt, n_lags)]

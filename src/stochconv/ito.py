@@ -17,7 +17,7 @@ from .errors import DimensionMismatchError, PredictabilityError, StochConvError
 from .hilbert import (
     DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
 )
-from .noise import NoiseEnsemble, TimeGrid, prefix_sums, sample_increments
+from .noise import NoiseEnsemble, TimeGrid, check_path_index, prefix_sums, sample_increments
 
 __all__ = [
     "IntegrandSpec",
@@ -274,8 +274,7 @@ def probe_predictability(
 
 def sup_norm(ensemble: PathEnsemble, path: int) -> float:
     """Maximum Euclidean node magnitude along one path."""
-    if not 0 <= path < ensemble.n_paths:
-        raise StochConvError(f"path index {path} out of range [0, {ensemble.n_paths})")
+    check_path_index(path, ensemble.n_paths)
     mags = np.sqrt(np.sum(ensemble.values[path] ** 2, axis=-1))
     return float(np.max(mags))
 

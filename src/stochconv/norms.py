@@ -17,10 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, StochConvError
-from .hilbert import (
-    SemigroupSpec, SpectralOperator, apply_operator, hs_norm, lag_operators, operator_matrix,
-    weight_eigenvalues,
-)
+from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, lag_table, weight_eigenvalues
 from .ito import CONSTANT, NormReport, check_compatible, step_matrices, step_products, sup_lr_norm
 from .noise import NoiseEnsemble, TimeGrid
 
@@ -170,11 +167,12 @@ def singular_kernel_field(
     q = weight_eigenvalues(weight, phi.domain.dim)
     lag_times = np.arange(1, n_lags + 1) * grid.dt
     kernel = lag_times ** (-beta) if beta > 0.0 else np.ones(n_lags)
-    lags = lag_operators(semigroup, grid.dt, n_lags)
+    table = lag_table(semigroup, grid.dt, n_lags)
     mags = np.zeros((1, n_nodes, n_nodes))
     for j in range(1, n_lags + 1):
         # |S(j dt) Phi_s Q^(1/2)|_HS^2 = sum_u q_u |S(j dt) Phi_s e_u|^2
-        prod = apply_operator(lags[j], columns[: n_nodes - j])
+        cols = columns[: n_nodes - j]
+        prod = cols * table[j] if table.ndim == 2 else cols @ table[j].T
         hs = np.sqrt(np.einsum("suh,u->s", prod**2, q))
         mags[0, : n_nodes - j, j:][np.diag_indices(n_nodes - j)] = kernel[j - 1] * hs
     return TwoParameterField(mags, grid)
@@ -218,7 +216,9 @@ def integral_norm_estimate(
     n_steps, dt = grid.n_steps, grid.dt
     q = weight_eigenvalues(weight, phi.domain.dim)
     nodes = step_matrices(phi, n_steps)
-    lag_mats = np.stack([operator_matrix(op) for op in lag_operators(semigroup, dt, n_steps)])
+    lag_mats = lag_table(semigroup, dt, n_steps)
+    if lag_mats.ndim == 2:  # diagonal rows onto the diagonal of d x d matrices
+        lag_mats = np.stack([np.diag(row) for row in lag_mats])
     # scalar pow: numpy's vectorised pow can differ from it in the last bit
     kernel = np.array([(j * dt) ** (-beta) for j in range(1, n_steps + 1)])
     inc = noise.increments

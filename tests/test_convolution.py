@@ -29,15 +29,15 @@ from stochconv import (
     sup_norm,
     wiener_values,
 )
+from stochconv._parallel import BLOCK_ELEMENTS
 from stochconv.convolution import (
-    _BLOCK_ELEMENTS,
     _fft_length,
     _lag_convolve,
     beta_integral,
     left_lr_norm,
     smoothing_bound_factor,
 )
-from stochconv.hilbert import apply_operator, lag_operators, lag_table, operator_matrix
+from stochconv.hilbert import lag_table, operator_matrix
 from stochconv.ito import path_sup_norms
 
 
@@ -308,11 +308,12 @@ def test_smoothing_bound_factor_closed_form():
 def _loop_lag_convolve(x, weights, semigroup, dt):
     """The O(P N^2 d) lag-by-lag sum that the FFT engine replaced, kept as its oracle."""
     n_lags = weights.size
-    lags = lag_operators(semigroup, dt, n_lags)
+    lags = lag_table(semigroup, dt, n_lags)
     values = np.zeros((x.shape[0], n_lags + 1, x.shape[2]))
     for j in range(1, n_lags + 1):
         block = x[:, : n_lags - j + 1, :]
-        values[:, j:, :] += weights[j - 1] * apply_operator(lags[j], block)
+        applied = block * lags[j] if lags.ndim == 2 else block @ lags[j].T
+        values[:, j:, :] += weights[j - 1] * applied
     return values
 
 
@@ -373,7 +374,7 @@ def test_lag_engine_path_output_is_bitwise_independent_of_its_block(rng, kind, d
     else:
         sg = SemigroupSpec(space, generator=rng.normal(size=(dim, dim)), horizon=1.0)
     n_lags = 300
-    block = _BLOCK_ELEMENTS // (_fft_length(2 * n_lags) * dim)
+    block = BLOCK_ELEMENTS // (_fft_length(2 * n_lags) * dim)
     n_paths = 2 * block + 3
     dt = 1.0 / n_lags
     weights = (np.arange(1, n_lags + 1) * dt) ** (-0.3)
@@ -496,3 +497,9 @@ def test_request_validation():
     )
     with pytest.raises(DimensionMismatchError):
         ConvolutionRequest(tall, sg, noise)
+
+
+def test_request_rejects_a_nan_exponent():
+    req = _scalar_request(n_steps=4, n_paths=2)
+    with pytest.raises(StochConvError, match="r must be"):
+        ConvolutionRequest(req.phi, req.semigroup, req.noise, beta=0.3, r=math.nan)

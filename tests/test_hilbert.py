@@ -19,7 +19,7 @@ from stochconv import (
 )
 from stochconv.hilbert import (
     identity_operator,
-    lag_operators,
+    lag_table,
     operator_matrix,
 )
 
@@ -160,13 +160,13 @@ def test_dense_generator_matches_diagonal_case(rng):
     n_lags=st.integers(0, 50),
 )
 @settings(max_examples=100, deadline=None)
-def test_diagonal_lag_operators_equal_semigroup_eval_bitwise(rates, dt, n_lags):
+def test_diagonal_lag_table_rows_equal_semigroup_eval_bitwise(rates, dt, n_lags):
     sg = SemigroupSpec(HilbertSpec(len(rates)), rates=rates, horizon=1.0)
-    lags = lag_operators(sg, dt, n_lags)
+    lags = lag_table(sg, dt, n_lags)
     assert len(lags) == n_lags + 1
-    for j, op in enumerate(lags):
-        assert isinstance(op, SpectralOperator)
-        assert op.eigenvalues.tobytes() == semigroup_eval(sg, j * dt).eigenvalues.tobytes()
+    for j, row in enumerate(lags):
+        assert row.shape == (len(rates),)
+        assert row.tobytes() == semigroup_eval(sg, j * dt).eigenvalues.tobytes()
 
 
 @given(
@@ -177,25 +177,25 @@ def test_diagonal_lag_operators_equal_semigroup_eval_bitwise(rates, dt, n_lags):
     n_lags=st.integers(1, 50),
 )
 @settings(max_examples=100, deadline=None)
-def test_dense_lag_operators_match_expm_within_j_scaled_tolerance(
+def test_dense_lag_table_rows_match_expm_within_j_scaled_tolerance(
     entries, dim, upper, dt, n_lags
 ):
     gen = np.array(entries).reshape(4, 4)[:dim, :dim]
     if upper:  # non-normal: a triangular generator with a nonzero strict upper part
         gen = np.triu(gen)
     sg = SemigroupSpec(HilbertSpec(dim), generator=gen, horizon=1.0)
-    lags = lag_operators(sg, dt, n_lags)
-    assert np.array_equal(operator_matrix(lags[0]), np.eye(dim))
-    assert np.array_equal(operator_matrix(lags[1]), operator_matrix(semigroup_eval(sg, dt)))
+    lags = lag_table(sg, dt, n_lags)
+    assert np.array_equal(lags[0], np.eye(dim))
+    assert np.array_equal(lags[1], operator_matrix(semigroup_eval(sg, dt)))
     # the j-fold product of S(dt) accumulates rounding like j d eps |S(dt)|^j, and
     # expm(j dt A) carries an error growing with |j dt A|; the factor 256 is a
     # 5x margin over the worst ratio seen in 300k random comparisons
-    growth = max(1.0, np.linalg.norm(np.abs(operator_matrix(lags[1])), 2))
+    growth = max(1.0, np.linalg.norm(np.abs(lags[1]), 2))
     gen_norm = np.linalg.norm(gen, 2)
     eps = np.finfo(float).eps
     for j in range(1, n_lags + 1):
-        assert isinstance(lags[j], DenseOperator)
-        err = np.max(np.abs(operator_matrix(lags[j]) - operator_matrix(semigroup_eval(sg, j * dt))))
+        assert lags[j].shape == (dim, dim)
+        err = np.max(np.abs(lags[j] - operator_matrix(semigroup_eval(sg, j * dt))))
         tol = 256 * dim * j * eps * (1.0 + j * dt * gen_norm) * growth**j
         assert err <= tol, (j, err, tol)
 
@@ -285,3 +285,31 @@ def test_spectral_hs_norm_matches_dense_embedding(eigs):
     dense = DenseOperator(h, h, np.diag(eigs))
     assert hs_norm(spectral) == pytest.approx(hs_norm(dense), rel=1e-12, abs=1e-12)
 
+
+@pytest.mark.parametrize("dim", [2.5, True, 0, np.float64(2.0)])
+def test_hilbert_spec_rejects_a_non_integer_dimension(dim):
+    with pytest.raises(StochConvError, match="dim"):
+        HilbertSpec(dim)
+
+
+def test_hilbert_spec_accepts_a_numpy_integer():
+    assert HilbertSpec(np.int64(3)).dim == 3
+
+
+@pytest.mark.parametrize(
+    "rates,horizon,match",
+    [
+        pytest.param([1.0, math.nan], 1.0, "rates", id="rate-nan"),
+        pytest.param([math.inf, 1.0], 1.0, "rates", id="rate-inf"),
+        pytest.param([1.0, 2.0], math.nan, "horizon", id="horizon-nan"),
+    ],
+)
+def test_diagonal_semigroup_rejects_nan_instead_of_certifying_it(rates, horizon, match):
+    # a NaN rate makes every S(t) NaN, so no bound of 1.0 may be reported for it
+    with pytest.raises(StochConvError, match=match):
+        SemigroupSpec(HilbertSpec(2), rates=rates, horizon=horizon)
+
+
+def test_dense_semigroup_rejects_a_nan_horizon():
+    with pytest.raises(StochConvError, match="horizon"):
+        SemigroupSpec(HilbertSpec(2), generator=-np.eye(2), horizon=math.nan)

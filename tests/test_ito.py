@@ -229,3 +229,13 @@ def test_time_varying_needs_enough_operators(scalar_wiener, scalar_space):
     phi = IntegrandSpec.from_matrices(scalar_space, scalar_space, np.ones((10, 1, 1)))
     with pytest.raises(DimensionMismatchError):
         ito_integrate(phi, scalar_wiener)
+
+
+@pytest.mark.parametrize("path", [1.5, np.float64(1.0), True, -1, 3])
+def test_sup_norm_rejects_a_bad_path_index(path):
+    ens = ito_integrate(
+        IntegrandSpec.from_constant(SpectralOperator(HilbertSpec(1), HilbertSpec(1), [1.0])),
+        _scalar_noise(4, 3),
+    )
+    with pytest.raises(StochConvError, match="path"):
+        sup_norm(ens, path)

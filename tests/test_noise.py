@@ -63,10 +63,14 @@ def test_worker_threads_are_capped_at_the_block_count(monkeypatch):
 
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingExecutor)
     seen = []
-    _parallel.run_over_paths(lambda start, stop: seen.append((start, stop)), 600, workers=10**6)
+    # 256 elements per path: blocks of 256 paths
+    path_elements = _parallel.BLOCK_ELEMENTS // 256
+    _parallel.run_over_paths(
+        lambda start, stop: seen.append((start, stop)), 600, path_elements, workers=10**6
+    )
     assert requested == [3]
-    assert seen == _parallel.path_blocks(600)
-    _parallel.run_over_paths(lambda start, stop: None, 600, workers=2)
+    assert seen == _parallel.path_blocks(600, path_elements)
+    _parallel.run_over_paths(lambda start, stop: None, 600, path_elements, workers=2)
     assert requested == [3, 2]
 
 
@@ -303,8 +307,8 @@ def test_gaussians_match_the_full_absorption_oracle(seed, paths, steps, modes, f
 def test_sample_increments_match_oracle_blocks(monkeypatch, n_paths, dim, workers, tiny_tiles):
     n_steps, seed = 40, 2**64 - 3
     if tiny_tiles:
-        # three paths per tile: tiles straddle neither block nor path count evenly
-        monkeypatch.setattr(noise, "_TILE_ELEMENTS", 3 * n_steps * dim + 1)
+        # three paths per block: blocks divide neither 256 nor the path count evenly
+        monkeypatch.setattr(_parallel, "BLOCK_ELEMENTS", 3 * n_steps * dim + 1)
     spec = _spec(dim, [0.5 + k for k in range(dim)])
     grid = TimeGrid(1.5, n_steps)
     ens = sample_increments(spec, grid, seed, n_paths, workers=workers)
@@ -312,7 +316,8 @@ def test_sample_increments_match_oracle_blocks(monkeypatch, n_paths, dim, worker
     step_ix = np.arange(n_steps, dtype=np.uint64)[None, :, None]
     mode_ix = np.arange(dim, dtype=np.uint64)[None, None, :]
     expected = np.empty((n_paths, n_steps, dim))
-    for start, stop in _parallel.path_blocks(n_paths):
+    for start in range(0, n_paths, 256):  # the oracle's own blocks
+        stop = min(start + 256, n_paths)
         path_ix = np.arange(start, stop, dtype=np.uint64)[:, None, None]
         block = _oracle_gaussians(seed, path_ix, step_ix, mode_ix)
         block *= scale
@@ -356,3 +361,35 @@ def test_coarsening_rejects_a_float_factor():
     ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
     with pytest.raises(StochConvError, match="factor"):
         coarsen_increments(ens, 2.0)
+
+
+@pytest.mark.parametrize(
+    "horizon,n_steps,name",
+    [
+        pytest.param(float("nan"), 4, "horizon", id="horizon-nan"),
+        pytest.param(float("inf"), 4, "horizon", id="horizon-inf"),
+        pytest.param(1.0, 10.0, "n_steps", id="n_steps-float"),
+        pytest.param(1.0, True, "n_steps", id="n_steps-bool"),
+    ],
+)
+def test_time_grid_rejects_bad_arguments(horizon, n_steps, name):
+    with pytest.raises(StochConvError, match=name):
+        TimeGrid(horizon, n_steps)
+
+
+def test_time_grid_accepts_numpy_scalars():
+    grid = TimeGrid(np.float64(2.0), np.int64(8))
+    assert grid.dt == 0.25
+    assert grid.nodes.shape == (9,)
+
+
+@pytest.mark.parametrize("path", [1.5, np.float64(1.0), True, -1])
+def test_wiener_values_rejects_a_bad_path_index(path):
+    ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
+    with pytest.raises(StochConvError, match="path"):
+        wiener_values(ens, path)
+
+
+def test_wiener_values_accepts_a_numpy_path_index():
+    ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
+    assert np.array_equal(wiener_values(ens, np.int64(1)), wiener_values(ens, 1))

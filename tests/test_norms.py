@@ -30,7 +30,7 @@ from stochconv import (
 )
 from stochconv import norms
 from stochconv.convolution import smoothing_bound_factor
-from stochconv.hilbert import lag_operators, operator_matrix, semigroup_eval
+from stochconv.hilbert import lag_table, operator_matrix, semigroup_eval
 from stochconv.norms import deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field
 
 
@@ -255,7 +255,9 @@ def _padded_slice_battery(phi, nodes, sg, noise, beta, q, r, weight):
     """The battery with every slice a zero-padded N-step integrand, integrated over all N steps."""
     grid = noise.grid
     n_steps, dt = grid.n_steps, grid.dt
-    lag_mats = np.stack([operator_matrix(op) for op in lag_operators(sg, dt, n_steps)])
+    lag_mats = lag_table(sg, dt, n_steps)
+    if lag_mats.ndim == 2:
+        lag_mats = np.stack([np.diag(row) for row in lag_mats])
     kernel = np.array([(j * dt) ** (-beta) for j in range(1, n_steps + 1)])
     best = 0.0
     for k in range(1, n_steps + 1):

@@ -1,11 +1,15 @@
 import ast
+import importlib
+import importlib.util
+from fnmatch import fnmatch
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stochconv"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stochconv"
 
 
 def test_only_hilbert_decides_how_to_evaluate_the_semigroup():
-    # S(j dt) is decided by hilbert.lag_operators; other modules apply its operators
+    # S(j dt) is decided by hilbert.lag_table and semigroup_eval; other modules apply them
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "hilbert.py":
@@ -43,3 +47,53 @@ def test_only_config_reads_the_scenario_schema():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line}" for line in _key_reads(tree)]
     assert offenders == []
+
+
+BLOCK_CONSTANTS = ("*_ELEMENTS", "*CHUNK*")
+
+
+def _assigned_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node.lineno
+
+
+def test_only_parallel_sizes_path_blocks():
+    # _parallel.BLOCK_ELEMENTS is the one block budget; other modules call path_blocks
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, line in _assigned_names(tree):
+            if any(fnmatch(name, pattern) for pattern in BLOCK_CONSTANTS):
+                defined[f"{path.name}:{line}"] = name
+    assert list(defined.values()) == ["BLOCK_ELEMENTS"]
+    assert next(iter(defined)).startswith("_parallel.py:")
+
+
+def _load_tracer():
+    """perfbench/tracer.py as a module, read from disk and not registered in sys.modules."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_perfbench_trace_target_exists():
+    # the benchmark tracer wraps these by name: a moved or renamed one breaks its --trace run
+    tracer = _load_tracer()
+    missing = []
+    for module_name, table in tracer.LAYERS.items():
+        module = importlib.import_module(module_name)
+        missing += [f"{module_name}.{attr}" for attr in table if not callable(getattr(module, attr, None))]
+    for module_name, cls_name, method in tracer.METHODS:
+        cls = getattr(importlib.import_module(module_name), cls_name, None)
+        if cls is None or method not in vars(cls):
+            missing.append(f"{module_name}.{cls_name}.{method}")
+    assert missing == []
