@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,8 +113,9 @@ class ScenarioConfig:
     options: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def config_hash(self) -> str:
+        # hashed once per config (the raw dict can hold tens of thousands of floats);
         # worker count is execution infrastructure: artifacts must not depend on it
         payload = {k: v for k, v in self.raw.items() if k != "workers"}
         return canonical_hash(payload)

@@ -81,8 +81,8 @@ class ConvolutionRequest:
             )
         if not 0.0 <= self.beta < 1.0:
             raise StochConvError(f"beta must lie in [0, 1), got {self.beta}")
-        if not self.r > 1.0:  # NaN fails too
-            raise StochConvError(f"r must be > 1, got {self.r}")
+        if not 1.0 < self.r < np.inf:  # NaN fails too
+            raise StochConvError(f"r must be > 1 and finite, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -302,8 +302,10 @@ def smoothing_bound_factor(beta: float, r: float, horizon: float) -> float:
     Equals (integral_0^T w^((beta-1) r / (r-1)) dw)^((r-1)/r), finite exactly
     when beta > 1/r.
     """
-    if beta * r <= 1.0:
-        raise StochConvError(f"bound factor needs beta > 1/r, got beta={beta}, r={r}")
+    if not (beta * r > 1.0 and r < np.inf):  # NaN fails too
+        raise StochConvError(
+            f"bound factor needs beta > 1/r and a finite r, got beta={beta}, r={r}"
+        )
     expo = (beta - 1.0) * r / (r - 1.0)
     integral = horizon ** (expo + 1.0) / (expo + 1.0)
     return integral ** ((r - 1.0) / r)
@@ -314,7 +316,7 @@ def left_lr_norm(ensemble: PathEnsemble, r: float) -> np.ndarray:
 
     Returns (sum_{i<N} |Y(t_i)|^r dt)^(1/r) for every path.
     """
-    if r < 1.0:
-        raise StochConvError(f"exponent must satisfy r >= 1, got {r}")
+    if not 1.0 <= r < np.inf:  # NaN fails too
+        raise StochConvError(f"exponent must satisfy 1 <= r < inf, got r={r}")
     mags = np.sqrt(np.sum(ensemble.values[:, :-1, :] ** 2, axis=-1))
     return (np.sum(mags**r, axis=1) * ensemble.grid.dt) ** (1.0 / r)

@@ -1,4 +1,6 @@
-"""Exception types and the integer-argument test shared across the library."""
+"""Exception types and the number-argument tests shared across the library."""
+
+from numbers import Real
 
 import numpy as np
 
@@ -6,6 +8,11 @@ import numpy as np
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a Python or numpy real number (NaN and inf included); a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class StochConvError(Exception):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionMismatchError, StochConvError, is_integer
+from .errors import DimensionMismatchError, StochConvError, is_integer, is_real
 
 __all__ = [
     "HilbertSpec",
@@ -227,8 +227,8 @@ class SemigroupSpec:
     def __post_init__(self):
         if (self.rates is None) == (self.generator is None):
             raise StochConvError("provide exactly one of rates / generator")
-        if not self.horizon > 0.0:  # NaN fails too
-            raise StochConvError(f"horizon must be positive, got {self.horizon!r}")
+        if not (is_real(self.horizon) and self.horizon > 0.0):  # NaN fails too
+            raise StochConvError(f"horizon must be a positive number, got {self.horizon!r}")
         if self.rates is not None:
             object.__setattr__(self, "rates", _frozen_array(self.rates))
             if self.rates.shape != (self.space.dim,):

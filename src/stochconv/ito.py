@@ -191,8 +191,23 @@ def step_matrices(phi: IntegrandSpec, n_steps: int) -> np.ndarray:
 
 
 def step_products(mats: np.ndarray, inc: np.ndarray, out=None) -> np.ndarray:
-    """Phi_i dW_i for step matrices (n, dim_H, dim_U) and increments (paths, n, dim_U)."""
-    return np.einsum("ihu,piu->pih", mats, inc, out=out)
+    """Phi_i dW_i for step matrices (n, dim_H, dim_U) and increments (paths, n, dim_U).
+
+    One batched ``matmul`` over the time axis, written into ``out`` (which may
+    be a strided view such as ``buf[:, :n]``) or a fresh (paths, n, dim_H)
+    array.  BLAS sums over dim_U in its own order, so for dim_U > 1 the last
+    bits can differ from a plain left-to-right sum.  For dim_U == 1 there is
+    no sum, and ``matmul`` is slower than a sum-free outer product: einsum
+    writes it into a zeroed output (a zero product is +0.0), faster on
+    strided views than a broadcast multiply.
+    """
+    if out is None:
+        out = np.empty(inc.shape[:2] + mats.shape[1:2])
+    if mats.shape[2] == 1:
+        np.einsum("ih,pi->pih", mats[:, :, 0], inc[:, :, 0], out=out)
+    else:
+        np.matmul(inc.swapaxes(0, 1), mats.swapaxes(1, 2), out=out.swapaxes(0, 1))
+    return out
 
 
 def integrand_products(phi: IntegrandSpec, noise: NoiseEnsemble) -> np.ndarray:
@@ -287,8 +302,8 @@ def path_sup_norms(ensemble: PathEnsemble) -> np.ndarray:
 
 def sup_lr_norm(values: np.ndarray, r: float) -> tuple[np.ndarray, float, float]:
     """Sup-L^r reduction of node values (paths, nodes, dim): per-path sup^r, mean, 1/r-th root."""
-    if r < 1.0:
-        raise StochConvError(f"exponent must satisfy r >= 1, got {r}")
+    if not 1.0 <= r < np.inf:  # NaN fails too
+        raise StochConvError(f"exponent must satisfy 1 <= r < inf, got r={r}")
     sups = np.max(np.sqrt(np.sum(values**2, axis=-1)), axis=1) ** r
     moment = float(np.mean(sups))
     return sups, moment, moment ** (1.0 / r)
@@ -298,7 +313,7 @@ def lr_path_norm(ensemble: PathEnsemble, r: float):
     """Monte Carlo estimate of (E[sup-norm^r])^(1/r) with a delta-method SE.
 
     Raises:
-      StochConvError: if r < 1.
+      StochConvError: unless 1 <= r < inf.
     """
     sups, moment, estimate = sup_lr_norm(ensemble.values, r)
     n = sups.size

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_over_paths
-from .errors import DimensionMismatchError, StochConvError, is_integer
+from .errors import DimensionMismatchError, StochConvError, is_integer, is_real
 from .hilbert import HilbertSpec
 
 __all__ = [
@@ -52,8 +52,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < math.inf:  # NaN fails too
-            raise StochConvError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if not (is_real(self.horizon) and 0.0 < self.horizon < math.inf):  # NaN fails too
+            raise StochConvError(f"horizon must be a positive finite number, got {self.horizon!r}")
         if not is_integer(self.n_steps) or self.n_steps < 1:
             raise StochConvError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 

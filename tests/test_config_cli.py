@@ -286,6 +286,21 @@ def test_cli_seed_and_workers_overrides_parse_the_config_once(tmp_path, monkeypa
     assert report["config_hash"] == canonical_hash({**data, "seed": 7})
 
 
+def test_cli_run_hashes_the_config_once(tmp_path, monkeypatch, capsys):
+    # the report envelope and the summary line share one hash of the raw config
+    hashed = []
+    original = config_module.canonical_hash
+    monkeypatch.setattr(
+        config_module, "canonical_hash", lambda data: hashed.append(data) or original(data)
+    )
+    data = _base_config()
+    assert main(["ou-check", "--config", _write(tmp_path, data), "--out", str(tmp_path)]) == 0
+    assert len(hashed) == 1
+    report = json.loads((tmp_path / "ou-check_report.json").read_text())
+    assert report["config_hash"] == original(data)
+    assert f"hash={original(data)[:12]}" in capsys.readouterr().out
+
+
 def test_cli_workers_do_not_change_artifacts(tmp_path):
     data = _base_config()
     data.update(experiment="fubini", n_paths=600, grid={"T": 1.0, "N": 60})

@@ -503,3 +503,21 @@ def test_request_rejects_a_nan_exponent():
     req = _scalar_request(n_steps=4, n_paths=2)
     with pytest.raises(StochConvError, match="r must be"):
         ConvolutionRequest(req.phi, req.semigroup, req.noise, beta=0.3, r=math.nan)
+
+
+def test_request_rejects_an_infinite_exponent():
+    req = _scalar_request(n_steps=4, n_paths=2)
+    with pytest.raises(StochConvError, match="r must be"):
+        ConvolutionRequest(req.phi, req.semigroup, req.noise, beta=0.3, r=math.inf)
+
+
+def test_left_lr_norm_rejects_an_infinite_exponent():
+    # x ** (1 / inf) is 1 for every path: a number that bounds nothing
+    ens = direct_convolution(_scalar_request(n_steps=4, n_paths=4))
+    with pytest.raises(StochConvError, match="r="):
+        left_lr_norm(ens, math.inf)
+
+
+def test_smoothing_bound_factor_rejects_an_infinite_exponent():
+    with pytest.raises(StochConvError, match="r="):
+        smoothing_bound_factor(0.3, math.inf, 1.0)

@@ -313,3 +313,12 @@ def test_diagonal_semigroup_rejects_nan_instead_of_certifying_it(rates, horizon,
 def test_dense_semigroup_rejects_a_nan_horizon():
     with pytest.raises(StochConvError, match="horizon"):
         SemigroupSpec(HilbertSpec(2), generator=-np.eye(2), horizon=math.nan)
+
+
+@pytest.mark.parametrize("horizon", ["1.0", None, True])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_semigroup_rejects_a_non_numeric_horizon(horizon, dense):
+    # was a raw TypeError from the comparison (a bool was read as 1.0)
+    kind = {"generator": -np.eye(2)} if dense else {"rates": [1.0, 2.0]}
+    with pytest.raises(StochConvError, match="horizon"):
+        SemigroupSpec(HilbertSpec(2), horizon=horizon, **kind)

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochconv import (
     DenseOperator,
@@ -23,7 +25,7 @@ from stochconv import (
     sup_norm,
     wiener_values,
 )
-from stochconv.ito import export_paths_csv, path_sup_norms
+from stochconv.ito import export_paths_csv, path_sup_norms, step_products, sup_lr_norm
 
 # (E sup_{[0,1]} |W|^2)^(1/2) from a reflection-principle Monte Carlo oracle
 # run at dt = 1e-4 with 1e5 paths (series CDF value in the continuum: 1.353489).
@@ -199,6 +201,19 @@ def test_lr_path_norm_rejects_small_exponent():
         lr_path_norm(ens, 0.5)
 
 
+def test_lr_path_norm_rejects_an_infinite_exponent():
+    # x ** (1 / inf) is 1: an estimate of 1.0 whatever the paths
+    ens = PathEnsemble(np.full((3, 5, 1), 2.5), TimeGrid(1.0, 4))
+    with pytest.raises(StochConvError, match="r="):
+        lr_path_norm(ens, np.inf)
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan])
+def test_sup_lr_norm_rejects_a_non_finite_exponent(r):
+    with pytest.raises(StochConvError, match="r="):
+        sup_lr_norm(np.full((3, 5, 1), 2.5), r)
+
+
 def test_path_sup_norms_matches_per_path(rng):
     grid = TimeGrid(1.0, 5)
     ens = PathEnsemble(rng.normal(size=(7, 6, 2)), grid)
@@ -239,3 +254,53 @@ def test_sup_norm_rejects_a_bad_path_index(path):
     )
     with pytest.raises(StochConvError, match="path"):
         sup_norm(ens, path)
+
+
+def _einsum_step_products(mats, inc, out=None):
+    """The step products as one non-BLAS einsum: the slow oracle of ``step_products``."""
+    return np.einsum("ihu,piu->pih", mats, inc, out=out)
+
+
+def _signed_entries(rng, shape):
+    """Magnitudes over six decades, random signs, and about one entry in five a signed zero."""
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    magnitude = 10.0 ** rng.uniform(-3.0, 3.0, size=shape) * (rng.random(shape) >= 0.2)
+    return sign * magnitude
+
+
+@given(
+    d_u=st.integers(1, 9),
+    d_h=st.integers(1, 9),
+    n_steps=st.integers(1, 40),
+    n_paths=st.integers(1, 8),
+    out_kind=st.sampled_from(["none", "array", "view"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_step_products_match_einsum_oracle(d_u, d_h, n_steps, n_paths, out_kind, seed):
+    rng = np.random.default_rng(seed)
+    mats = _signed_entries(rng, (n_steps, d_h, d_u))
+    inc = _signed_entries(rng, (n_paths, n_steps, d_u))
+    buf = np.full((n_paths, n_steps + int(rng.integers(1, 4)), d_h), np.nan)
+    out = {"none": None, "array": np.empty((n_paths, n_steps, d_h)), "view": buf[:, :n_steps]}[
+        out_kind
+    ]
+    got = step_products(mats, inc, out=out)
+    want = _einsum_step_products(mats, inc)
+    if out is not None:
+        assert np.shares_memory(got, out) and got.shape == out.shape
+    assert np.all(np.isnan(buf[:, n_steps:]))  # a view is written only where it points
+    if d_u == 1:  # one product and no sum: the same bytes, signed zeros included
+        assert got.tobytes() == want.tobytes()
+    else:  # each side sums d_u products within (d_u / 2) eps sum |M||x| (Higham, 3.1)
+        bound = d_u * np.finfo(float).eps * _einsum_step_products(np.abs(mats), np.abs(inc))
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def test_step_products_give_a_zero_product_the_sign_of_a_sum():
+    # a sum started from +0.0 turns -0.0 into +0.0; the dim_U == 1 product must too
+    mats = np.array([[[-0.0], [1.0]]])
+    inc = np.array([[[1.0]], [[-0.0]]])
+    got = step_products(mats, inc)
+    assert got.tobytes() == _einsum_step_products(mats, inc).tobytes()
+    assert not np.any(np.signbit(got))

@@ -368,6 +368,9 @@ def test_coarsening_rejects_a_float_factor():
     [
         pytest.param(float("nan"), 4, "horizon", id="horizon-nan"),
         pytest.param(float("inf"), 4, "horizon", id="horizon-inf"),
+        pytest.param("1.0", 4, "horizon", id="horizon-str"),
+        pytest.param(None, 4, "horizon", id="horizon-none"),
+        pytest.param(True, 4, "horizon", id="horizon-bool"),
         pytest.param(1.0, 10.0, "n_steps", id="n_steps-float"),
         pytest.param(1.0, True, "n_steps", id="n_steps-bool"),
     ],

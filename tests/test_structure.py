@@ -97,3 +97,15 @@ def test_every_perfbench_trace_target_exists():
         if cls is None or method not in vars(cls):
             missing.append(f"{module_name}.{cls_name}.{method}")
     assert missing == []
+
+
+def test_the_einsum_step_products_live_only_in_the_tests():
+    # ito.step_products is one batched matmul; its einsum predecessor is a test oracle
+    subscripts = "ihu,piu->pih"
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted(ROOT.rglob("*.py"))
+        if path.relative_to(ROOT).parts[0] != "tests" and subscripts in path.read_text()
+    ]
+    assert offenders == []
+    assert subscripts in (ROOT / "tests" / "test_ito.py").read_text()
