@@ -197,9 +197,9 @@ def step_products(mats: np.ndarray, inc: np.ndarray, out=None) -> np.ndarray:
     be a strided view such as ``buf[:, :n]``) or a fresh (paths, n, dim_H)
     array.  BLAS sums over dim_U in its own order, so for dim_U > 1 the last
     bits can differ from a plain left-to-right sum.  For dim_U == 1 there is
-    no sum, and ``matmul`` is slower than a sum-free outer product: einsum
-    writes it into a zeroed output (a zero product is +0.0), faster on
-    strided views than a broadcast multiply.
+    no sum and ``matmul`` is several times slower: an einsum outer product,
+    faster than a broadcast multiply on strided views, writes into a zeroed
+    output, so a zero product is +0.0 as a sum started from zero gives it.
     """
     if out is None:
         out = np.empty(inc.shape[:2] + mats.shape[1:2])
