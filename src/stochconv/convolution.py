@@ -14,6 +14,8 @@ tightens under grid refinement with common (aggregated) noise.
 
 The singular stochastic kernel is only ever evaluated at lags >= dt: the
 left-point rule excludes the i = k term, so no regularization is needed.
+Its weights (j dt)^(-beta) come from ``singular_weights`` alone, shared with the
+``norms`` slices; ``check_admissible`` is the one test of 1/r < beta < 1, r finite.
 Semigroup values at lag j*dt come from ``hilbert.lag_table``, the one place
 where S(j dt) is decided (exp(-rate j dt) for a diagonal semigroup, the j-th
 power of S(dt) for a dense one, matching the prefix recursion of the direct
@@ -37,9 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._parallel import path_blocks
-from .errors import DimensionMismatchError, StochConvError
+from .errors import DimensionMismatchError, StochConvError, check_exponent
 from .hilbert import SemigroupSpec, apply_operator, lag_table, semigroup_eval
-from .ito import IntegrandSpec, PathEnsemble, integrand_products
+from .ito import IntegrandSpec, PathEnsemble, check_compatible, integrand_products
 from .noise import NoiseEnsemble
 
 __all__ = [
@@ -47,6 +49,8 @@ __all__ = [
     "DiscrepancyReport",
     "c_beta",
     "beta_integral",
+    "singular_weights",
+    "check_admissible",
     "direct_convolution",
     "kernel_convolution",
     "factorization_smoothing",
@@ -73,16 +77,9 @@ class ConvolutionRequest:
                 expected=self.semigroup.space.dim,
                 got=self.phi.codomain.dim,
             )
-        if self.phi.domain.dim != self.noise.spec.space.dim:
-            raise DimensionMismatchError(
-                "integrand domain must match the noise space",
-                expected=self.noise.spec.space.dim,
-                got=self.phi.domain.dim,
-            )
-        if not 0.0 <= self.beta < 1.0:
-            raise StochConvError(f"beta must lie in [0, 1), got {self.beta}")
-        if not 1.0 < self.r < np.inf:  # NaN fails too
-            raise StochConvError(f"r must be > 1 and finite, got {self.r}")
+        check_compatible(self.phi, self.noise)
+        singular_weights(self.beta, 1.0, 0)  # no lags: only the beta check
+        check_exponent("r", self.r, strict=True)
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,24 @@ def c_beta(beta: float) -> float:
       StochConvError: if beta is outside (0, 1).
     """
     return 1.0 / beta_integral(beta)
+
+
+def singular_weights(beta: float, dt: float, n: int) -> np.ndarray:
+    """The kernel weights (j dt)^(-beta), j = 1..n; ``StochConvError`` unless 0 <= beta < 1.
+
+    Python's scalar pow: numpy's vectorised pow can differ from it in the last bit.
+    """
+    if not 0.0 <= beta < 1.0:  # NaN fails too
+        raise StochConvError(f"beta must lie in [0, 1), got {beta}")
+    return np.array([(j * dt) ** (-beta) for j in range(1, n + 1)])
+
+
+def check_admissible(beta: float, r: float) -> None:
+    """Raise ``StochConvError`` unless 1/r < beta < 1 with a finite r, as factorization needs."""
+    if not (0.0 < beta < 1.0 and beta * r > 1.0 and r < np.inf):  # NaN fails too
+        raise StochConvError(
+            f"factorization requires beta in (1/r, 1) and a finite r, got beta={beta}, r={r}"
+        )
 
 
 def _fft_length(n: int) -> int:
@@ -232,7 +247,7 @@ def kernel_convolution(req: ConvolutionRequest) -> PathEnsemble:
     """
     products = integrand_products(req.phi, req.noise)
     dt = req.noise.grid.dt
-    weights = (np.arange(1, products.shape[1] + 1) * dt) ** (-req.beta)
+    weights = singular_weights(req.beta, dt, products.shape[1])
     values = _lag_convolve(products, weights, req.semigroup, dt)
     return PathEnsemble(values, req.noise.grid)
 
@@ -247,12 +262,9 @@ def factorization_smoothing(
     w_j = ((j dt)^beta - ((j-1) dt)^beta) / beta.
 
     Raises:
-      StochConvError: unless 1/r < beta < 1.
+      StochConvError: unless 1/r < beta < 1 with a finite r.
     """
-    if not (0.0 < beta < 1.0) or beta * r <= 1.0:
-        raise StochConvError(
-            f"smoothing requires beta in (1/r, 1), got beta={beta}, r={r}"
-        )
+    check_admissible(beta, r)
     dt = y.grid.dt
     edges = (np.arange(y.grid.n_steps + 1) * dt) ** beta
     weights = c_beta(beta) * (edges[1:] - edges[:-1]) / beta
@@ -265,10 +277,7 @@ def factorized_convolution(req: ConvolutionRequest) -> PathEnsemble:
     Raises:
       StochConvError: unless 1/r < beta < 1.
     """
-    if req.beta * req.r <= 1.0:
-        raise StochConvError(
-            f"factorization requires beta in (1/r, 1), got beta={req.beta}, r={req.r}"
-        )
+    check_admissible(req.beta, req.r)
     rough = kernel_convolution(req)
     return factorization_smoothing(rough, req.semigroup, req.beta, req.r)
 
@@ -302,10 +311,7 @@ def smoothing_bound_factor(beta: float, r: float, horizon: float) -> float:
     Equals (integral_0^T w^((beta-1) r / (r-1)) dw)^((r-1)/r), finite exactly
     when beta > 1/r.
     """
-    if not (beta * r > 1.0 and r < np.inf):  # NaN fails too
-        raise StochConvError(
-            f"bound factor needs beta > 1/r and a finite r, got beta={beta}, r={r}"
-        )
+    check_admissible(beta, r)
     expo = (beta - 1.0) * r / (r - 1.0)
     integral = horizon ** (expo + 1.0) / (expo + 1.0)
     return integral ** ((r - 1.0) / r)
@@ -316,7 +322,6 @@ def left_lr_norm(ensemble: PathEnsemble, r: float) -> np.ndarray:
 
     Returns (sum_{i<N} |Y(t_i)|^r dt)^(1/r) for every path.
     """
-    if not 1.0 <= r < np.inf:  # NaN fails too
-        raise StochConvError(f"exponent must satisfy 1 <= r < inf, got r={r}")
+    check_exponent("r", r)
     mags = np.sqrt(np.sum(ensemble.values[:, :-1, :] ** 2, axis=-1))
     return (np.sum(mags**r, axis=1) * ensemble.grid.dt) ** (1.0 / r)

@@ -1,6 +1,7 @@
 """Exception types and the number-argument tests shared across the library."""
 
 from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -36,3 +37,13 @@ class PredictabilityError(StochConvError):
 
 class ConfigError(StochConvError):
     """Raised when a scenario config fails schema validation."""
+
+
+def check_exponent(name: str, value, strict: bool = False) -> None:
+    """Raise ``StochConvError`` unless ``value`` is a finite real >= 1 (> 1 when ``strict``).
+
+    NaN, inf and integers past the float range give no usable norm (x ** (1 / inf) is 1).
+    """
+    if not (is_real(value) and 1.0 <= value <= float_info.max and not (strict and value == 1.0)):
+        sign = ">" if strict else ">="
+        raise StochConvError(f"{name} must be a finite real {sign} 1, got {name}={value!r}")

@@ -20,7 +20,7 @@ from . import measures
 from .config import (
     ScenarioConfig, _is_finite, _number, _numbers, _positive_int, _positive_ints, _require,
 )
-from .errors import ConfigError, StochConvError
+from .errors import ConfigError
 from .fubini import FubiniFamily, fubini_report
 from .hilbert import SpectralOperator
 from .ito import export_paths_csv, path_sup_norms
@@ -107,15 +107,14 @@ def _diagonal_scenario(cfg: ScenarioConfig):
     return cfg.semigroup.rates, cfg.noise_spec.q_eigenvalues, phi.eigenvalues
 
 
-def _mode_variance_closed_form(rates, q_eig, phi_eig, horizon: float) -> np.ndarray:
-    """Stationary-integral variance of each mode of the direct convolution."""
-    out = np.empty_like(q_eig)
-    for k, (lam, qk, fk) in enumerate(zip(rates, q_eig, phi_eig)):
-        if lam == 0.0:
-            out[k] = fk * fk * qk * horizon
-        else:
-            out[k] = fk * fk * qk * (1.0 - math.exp(-2.0 * lam * horizon)) / (2.0 * lam)
-    return out
+def _ou_variance(rate: float, q: float, f: float, t):
+    """Variance f^2 q (1 - e^(-2 rate t)) / (2 rate) of one mode of the direct convolution.
+
+    ``expm1`` keeps the limit f^2 q t of a small rate t, where 1 - exp cancels to 0.
+    """
+    if rate == 0.0:
+        return f * f * q * t
+    return f * f * q * -np.expm1(-2.0 * rate * t) / (2.0 * rate)
 
 
 def _variance_check(cfg: ScenarioConfig):
@@ -129,7 +128,7 @@ def _variance_check(cfg: ScenarioConfig):
     m2 = np.mean(centered**2, axis=0)
     m4 = np.mean(centered**4, axis=0)
     ses = np.sqrt(np.maximum(m4 - m2**2, 0.0) / n)
-    closed = _mode_variance_closed_form(rates, q_eig, phi_eig, cfg.grid.horizon)
+    closed = np.array([_ou_variance(*m, cfg.grid.horizon) for m in zip(rates, q_eig, phi_eig)])
     tolerances = np.maximum(4.0 * ses, 0.02 * closed)
     deviations = np.abs(estimates - closed)
     ok = bool(np.all(deviations <= tolerances))
@@ -147,11 +146,7 @@ def _variance_check(cfg: ScenarioConfig):
     # plot-ready variance-in-time curve for the first mode
     nodes = cfg.grid.nodes
     emp_curve = np.var(ensemble.values[:, :, 0], axis=0, ddof=1)
-    lam0, q0, f0 = rates[0], q_eig[0], phi_eig[0]
-    if lam0 == 0.0:
-        closed_curve = f0 * f0 * q0 * nodes
-    else:
-        closed_curve = f0 * f0 * q0 * (1.0 - np.exp(-2.0 * lam0 * nodes)) / (2.0 * lam0)
+    closed_curve = _ou_variance(rates[0], q_eig[0], phi_eig[0], nodes)
     tables = {
         f"{cfg.experiment}_modes.csv": (header, rows),
         f"{cfg.experiment}_mode0_curve.csv": (
@@ -434,16 +429,14 @@ def run_convolve(cfg: ScenarioConfig, method: str, out_path: str, check: bool):
     """
     if method not in ("direct", "factorized", "both"):
         raise ConfigError(f"method must be direct, factorized or both, got {method!r}")
+    if method != "direct":  # before any noise is sampled
+        conv.check_admissible(cfg.beta, cfg.r)
     request = _request(cfg, _sample_noise(cfg))
     outputs = {}
     ok = True
     if method in ("direct", "both"):
         outputs["direct"] = conv.direct_convolution(request)
     if method in ("factorized", "both"):
-        if cfg.beta * cfg.r <= 1.0:
-            raise StochConvError(
-                f"factorized output requires beta in (1/r, 1), got beta={cfg.beta}, r={cfg.r}"
-            )
         rough = conv.kernel_convolution(request)
         smoothed = conv.factorization_smoothing(rough, cfg.semigroup, cfg.beta, cfg.r)
         outputs["factorized"] = smoothed

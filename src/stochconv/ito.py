@@ -13,11 +13,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PredictabilityError, StochConvError
+from .errors import DimensionMismatchError, PredictabilityError, StochConvError, check_exponent
 from .hilbert import (
     DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
 )
-from .noise import NoiseEnsemble, TimeGrid, check_path_index, prefix_sums, sample_increments
+from .noise import (
+    NoiseEnsemble, TimeGrid, check_path_index, open_path_or_file, prefix_sums, sample_increments,
+)
 
 __all__ = [
     "IntegrandSpec",
@@ -302,8 +304,7 @@ def path_sup_norms(ensemble: PathEnsemble) -> np.ndarray:
 
 def sup_lr_norm(values: np.ndarray, r: float) -> tuple[np.ndarray, float, float]:
     """Sup-L^r reduction of node values (paths, nodes, dim): per-path sup^r, mean, 1/r-th root."""
-    if not 1.0 <= r < np.inf:  # NaN fails too
-        raise StochConvError(f"exponent must satisfy 1 <= r < inf, got r={r}")
+    check_exponent("r", r)
     sups = np.max(np.sqrt(np.sum(values**2, axis=-1)), axis=1) ** r
     moment = float(np.mean(sups))
     return sups, moment, moment ** (1.0 / r)
@@ -339,9 +340,7 @@ def export_paths_csv(paths, file) -> None:
     if not groups:
         raise StochConvError("no path ensembles to export")
     dim = next(iter(groups.values())).dim
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w", encoding="utf-8", newline="") if own else file
-    try:
+    with open_path_or_file(file, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "path_id,t," + ",".join(f"coord_{d}" for d in range(dim)) + "\n")
         for lead, ensemble in groups.items():
             nodes = ensemble.grid.nodes
@@ -349,6 +348,3 @@ def export_paths_csv(paths, file) -> None:
                 for k, t in enumerate(nodes):
                     coords = ",".join(repr(float(v)) for v in ensemble.values[p, k])
                     fh.write(f"{lead}{p},{float(t)!r},{coords}\n")
-    finally:
-        if own:
-            fh.close()

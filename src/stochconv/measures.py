@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StochConvError
+from .errors import DimensionMismatchError, StochConvError, check_exponent
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -136,10 +136,10 @@ def lpq_norm(f: DiscreteFunction, k: KernelSpec, p: float, q: float) -> float:
     ``m`` are the kernel atom masses and ``w`` the base weights.
 
     Raises:
-      StochConvError: if p < 1 or q < 1.
+      StochConvError: unless p and q are finite and >= 1.
     """
-    if p < 1.0 or q < 1.0:
-        raise StochConvError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
+    check_exponent("p", p)
+    check_exponent("q", q)
     _check_kernel_function(f, k)
     inner = np.sum(f.magnitudes() ** p * k.atom_masses.T, axis=0)
     return float(np.sum(inner ** (q / p) * k.base.weights) ** (1.0 / q))
@@ -153,8 +153,8 @@ def holder_constant(k: KernelSpec, p: float, q: float) -> float:
     sup of ``m(x)^((p-1)/p)`` over atoms of positive base weight; for
     p = q = 1 it is 1.
     """
-    if p < 1.0 or q < 1.0:
-        raise StochConvError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
+    check_exponent("p", p)
+    check_exponent("q", q)
     masses = k.first_factor_masses
     # null base atoms never contribute; skipping them also avoids inf * 0
     # when the exponent blows up as q -> 1

@@ -14,6 +14,7 @@ sqrt(-2 log 2^-53), about 8.6 standard deviations.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import threading
@@ -238,21 +239,23 @@ def coarsen_increments(ensemble: NoiseEnsemble, factor: int) -> NoiseEnsemble:
     return NoiseEnsemble(inc, ensemble.master_seed, grid, ensemble.spec)
 
 
+def open_path_or_file(file, mode: str, **kwargs):
+    """``open(file, mode)`` for a path; for a file object, a context that leaves it open."""
+    if isinstance(file, (str, bytes)):
+        return open(file, mode, **kwargs)
+    return contextlib.nullcontext(file)
+
+
 def save_increments(ensemble: NoiseEnsemble, file) -> None:
     """Write increments as magic + (paths, steps, modes) header + raw float64.
 
     All fields are little-endian; the array is written in C order.
     """
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "wb") if own else file
-    try:
+    with open_path_or_file(file, "wb") as fh:
         fh.write(_DUMP_MAGIC)
         dims = np.array(ensemble.increments.shape, dtype="<u8")
         fh.write(dims.tobytes())
         fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
-    finally:
-        if own:
-            fh.close()
 
 
 def load_increments(file) -> np.ndarray:
@@ -261,9 +264,7 @@ def load_increments(file) -> np.ndarray:
     ``file`` is a path or a seekable binary file.  The header's dims are checked
     against the bytes that remain before the payload is read.
     """
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "rb") if own else file
-    try:
+    with open_path_or_file(file, "rb") as fh:
         magic = fh.read(len(_DUMP_MAGIC))
         if magic != _DUMP_MAGIC:
             raise StochConvError(f"bad magic {magic!r} in increment dump")
@@ -281,6 +282,3 @@ def load_increments(file) -> np.ndarray:
             )
         data = np.frombuffer(fh.read(n_bytes), dtype="<f8")
         return data.reshape(shape).copy()
-    finally:
-        if own:
-            fh.close()

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StochConvError
+from .convolution import singular_weights
+from .errors import DimensionMismatchError, StochConvError, check_exponent
 from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, lag_table, weight_eigenvalues
 from .ito import CONSTANT, NormReport, check_compatible, step_matrices, step_products, sup_lr_norm
 from .noise import NoiseEnsemble, TimeGrid
@@ -93,10 +94,10 @@ def estimate_lpq(
     then the outer 1/q power; the bootstrap resamples whole paths.
 
     Raises:
-      StochConvError: if p < 1 or q < 1.
+      StochConvError: unless p and q are finite and >= 1.
     """
-    if p < 1.0 or q < 1.0:
-        raise StochConvError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
+    check_exponent("p", p)
+    check_exponent("q", q)
     mags_p = np.sqrt(np.sum(ensemble.values**2, axis=-1)) ** p
     nodes = ensemble.grid.nodes
     n_paths = mags_p.shape[0]
@@ -124,12 +125,10 @@ def estimate_lpqr(
     over the parameter time, with the path mean innermost.
 
     Raises:
-      StochConvError: if any exponent is < 1.
+      StochConvError: unless p, q and r are finite and >= 1.
     """
-    if p < 1.0 or q < 1.0 or r < 1.0:
-        raise StochConvError(
-            f"exponents must satisfy p, q, r >= 1, got p={p}, q={q}, r={r}"
-        )
+    for name, value in (("p", p), ("q", q), ("r", r)):
+        check_exponent(name, value)
     mags_p = field.magnitudes**p
     nodes = field.grid.nodes
     n_paths = mags_p.shape[0]
@@ -144,6 +143,25 @@ def estimate_lpqr(
     return NormReport(estimate, se, p=p, q=q, r=r, n_paths=n_paths, n_boot=n_boot)
 
 
+def _singular_slices(phi, semigroup: SemigroupSpec, grid: TimeGrid, beta: float, weight):
+    """Slices k = 1..N of the singular-kernel family for a deterministic integrand.
+
+    Yields, per k, mats[i] = (t_k - s_i)^(-beta) S(t_k - s_i) Phi_i over the support
+    i < k, shape (k, dim_H, dim_U), and hs[i], the (weighted) HS norm of mats[i].
+    """
+    n_steps, dt = grid.n_steps, grid.dt
+    weights = singular_weights(beta, dt, n_steps)
+    q = weight_eigenvalues(weight, phi.domain.dim)
+    nodes = step_matrices(phi, n_steps)
+    lag_mats = lag_table(semigroup, dt, n_steps)
+    if lag_mats.ndim == 2:  # diagonal rows onto the diagonal of d x d matrices
+        lag_mats = np.stack([np.diag(row) for row in lag_mats])
+    for k in range(1, n_steps + 1):
+        # node i < k sits at lag k - i; |M Q^(1/2)|_HS^2 = sum_u q_u |M e_u|^2
+        mats = weights[k - 1 :: -1, None, None] * (lag_mats[k:0:-1] @ nodes[:k])
+        yield mats, np.sqrt(np.einsum("ihu,u->i", mats**2, q))
+
+
 def singular_kernel_field(
     phi,
     semigroup: SemigroupSpec,
@@ -153,28 +171,15 @@ def singular_kernel_field(
 ) -> TwoParameterField:
     """Magnitude field of the singular-kernel family for deterministic data.
 
-    Entry (s_i, t_k) is (t_k - s_i)^(-beta) |S(t_k - s_i) Phi_{s_i}| for
+    Entry (s_i, t_k) is |(t_k - s_i)^(-beta) S(t_k - s_i) Phi_{s_i}| for
     s_i < t_k and 0 otherwise, with |.| the (optionally weighted)
     Hilbert-Schmidt norm.  The returned field has a single path since the
     expectation of a deterministic integrand is trivial.
     """
     n_nodes = grid.n_steps + 1
-    n_lags = grid.n_steps
-    # the columns Phi_s e_u as vectors: axis 1 is u, the last axis is H
-    columns = np.swapaxes(step_matrices(phi, n_lags), 1, 2)
-    if not 0.0 <= beta < 1.0:
-        raise StochConvError(f"beta must lie in [0, 1), got {beta}")
-    q = weight_eigenvalues(weight, phi.domain.dim)
-    lag_times = np.arange(1, n_lags + 1) * grid.dt
-    kernel = lag_times ** (-beta) if beta > 0.0 else np.ones(n_lags)
-    table = lag_table(semigroup, grid.dt, n_lags)
     mags = np.zeros((1, n_nodes, n_nodes))
-    for j in range(1, n_lags + 1):
-        # |S(j dt) Phi_s Q^(1/2)|_HS^2 = sum_u q_u |S(j dt) Phi_s e_u|^2
-        cols = columns[: n_nodes - j]
-        prod = cols * table[j] if table.ndim == 2 else cols @ table[j].T
-        hs = np.sqrt(np.einsum("suh,u->s", prod**2, q))
-        mags[0, : n_nodes - j, j:][np.diag_indices(n_nodes - j)] = kernel[j - 1] * hs
+    for k, (_, hs) in enumerate(_singular_slices(phi, semigroup, grid, beta, weight), 1):
+        mags[0, :k, k] = hs
     return TwoParameterField(mags, grid)
 
 
@@ -187,8 +192,7 @@ def deterministic_lpq_norm(
     Hilbert-Schmidt magnitude; for a deterministic process the inner
     expectation is trivial so the p exponent drops out.
     """
-    if q_exponent < 1.0:
-        raise StochConvError(f"exponent must be >= 1, got {q_exponent}")
+    check_exponent("q", q_exponent)
     if phi.kind == CONSTANT:
         value = hs_norm(phi.constant, weight)
         return value * grid.horizon ** (1.0 / q_exponent)
@@ -205,30 +209,22 @@ def integral_norm_estimate(
     """Empirical norm of the Ito integral operator over the singular slice battery.
 
     Slice k is the deterministic integrand s -> 1_{s<t_k} (t_k-s)^(-beta) S(t_k-s) Phi_s,
-    gathered from one lag table.  Returns the largest ratio, over k = 1..N, of the
+    as in ``singular_kernel_field``.  Returns the largest ratio, over k = 1..N, of the
     L^r path norm of its Ito integral, taken only over its support i < k in one
     (paths, N, dim_H) buffer, to its L^q time norm (0 if every slice vanishes).
     """
-    if q_exponent < 1.0:
-        raise StochConvError(f"exponent must be >= 1, got {q_exponent}")
+    check_exponent("q", q_exponent)
+    check_exponent("r", r)
     check_compatible(phi, noise)
     grid = noise.grid
-    n_steps, dt = grid.n_steps, grid.dt
-    q = weight_eigenvalues(weight, phi.domain.dim)
-    nodes = step_matrices(phi, n_steps)
-    lag_mats = lag_table(semigroup, dt, n_steps)
-    if lag_mats.ndim == 2:  # diagonal rows onto the diagonal of d x d matrices
-        lag_mats = np.stack([np.diag(row) for row in lag_mats])
-    # scalar pow: numpy's vectorised pow can differ from it in the last bit
-    kernel = np.array([(j * dt) ** (-beta) for j in range(1, n_steps + 1)])
     inc = noise.increments
-    paths, hs = np.empty((inc.shape[0], n_steps, phi.codomain.dim)), np.zeros(n_steps)
+    paths, hs_row = np.empty((inc.shape[0], grid.n_steps, phi.codomain.dim)), np.zeros(grid.n_steps)
     estimate = 0.0
-    for k in range(1, n_steps + 1):
-        # node i < k sits at lag k - i; hs stays zero past k, as in the N-step slice
-        mats = kernel[k - 1 :: -1, None, None] * (lag_mats[k:0:-1] @ nodes[:k])
-        hs[:k] = np.sqrt(np.einsum("ihu,u->i", mats**2, q))
-        slice_norm = float((np.sum(hs**q_exponent) * dt) ** (1.0 / q_exponent))
+    for mats, hs in _singular_slices(phi, semigroup, grid, beta, weight):
+        k = hs.size
+        # zero past k, as in the N-step slice: the sum keeps the N-long pairwise order
+        hs_row[:k] = hs
+        slice_norm = float((np.sum(hs_row**q_exponent) * grid.dt) ** (1.0 / q_exponent))
         if slice_norm == 0.0:
             continue
         values = step_products(mats, inc[:, :k], out=paths[:, :k])

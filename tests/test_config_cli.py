@@ -10,6 +10,7 @@ import pytest
 
 from stochconv import ConfigError
 from stochconv import config as config_module
+from stochconv import experiments
 from stochconv.cli import main
 from stochconv.config import canonical_hash, load_config, parse_config
 
@@ -348,6 +349,21 @@ def test_cli_ou_check_full_config(tmp_path):
     assert report["all_ok"] is True
 
 
+def test_ou_check_closed_form_survives_a_tiny_rate(tmp_path):
+    # 1 - exp(-2e-17) rounds to 0; the closed form must still be the f^2 q T limit
+    data = json.loads((CONFIG_DIR / "ou_check.json").read_text())
+    data["semigroup"]["rates"] = [1e-17]
+    data["grid"]["N"], data["n_paths"] = 200, 2000
+    argv = ["ou-check", "--config", _write(tmp_path, data), "--out", str(tmp_path), "--check"]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "ou-check_report.json").read_text())
+    assert report["modes"][0]["closed_form"] == pytest.approx(1.0, rel=1e-15)
+    curve = (tmp_path / "ou-check_mode0_curve.csv").read_text().strip().split("\n")[1:]
+    for row in curve:
+        t, _, closed = map(float, row.split(","))
+        assert closed == pytest.approx(t, rel=1e-15)
+
+
 def test_cli_convolve_exports_csv(tmp_path):
     out_csv = tmp_path / "paths.csv"
     rc = main(
@@ -360,6 +376,19 @@ def test_cli_convolve_exports_csv(tmp_path):
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"direct", "factorized"}
     assert len(lines) == 1 + 2 * 20 * 201
+
+
+@pytest.mark.parametrize("method", ["factorized", "both"])
+def test_convolve_refuses_an_inadmissible_beta_before_sampling(tmp_path, monkeypatch, capsys, method):
+    data = _base_config()
+    data["beta"] = 0.2  # beta * r = 0.8: the factorization does not apply
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    out = str(tmp_path / "paths.csv")
+    argv = ["convolve", "--config", _write(tmp_path, data), "--method", method, "--out", out]
+    assert main(argv) == 1
+    assert "requires beta in (1/r, 1)" in capsys.readouterr().err
 
 
 def test_cli_entry_point_subprocess(tmp_path):

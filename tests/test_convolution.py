@@ -35,6 +35,7 @@ from stochconv.convolution import (
     _lag_convolve,
     beta_integral,
     left_lr_norm,
+    singular_weights,
     smoothing_bound_factor,
 )
 from stochconv.hilbert import lag_table, operator_matrix
@@ -521,3 +522,42 @@ def test_left_lr_norm_rejects_an_infinite_exponent():
 def test_smoothing_bound_factor_rejects_an_infinite_exponent():
     with pytest.raises(StochConvError, match="r="):
         smoothing_bound_factor(0.3, math.inf, 1.0)
+
+
+# ------------------------------------------------- exponent checks
+
+
+@pytest.mark.parametrize("r", [math.nan, True, "2", 0.5])
+def test_left_lr_norm_rejects_a_bad_exponent(r):
+    ens = direct_convolution(_scalar_request(n_steps=4, n_paths=4))
+    with pytest.raises(StochConvError, match="r must be a finite real >= 1, got r="):
+        left_lr_norm(ens, r)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 1.0, "4"])
+def test_request_rejects_a_bad_exponent(r):
+    req = _scalar_request(n_steps=4, n_paths=2)
+    with pytest.raises(StochConvError, match="r must be a finite real > 1, got r="):
+        ConvolutionRequest(req.phi, req.semigroup, req.noise, beta=0.3, r=r)
+
+
+@pytest.mark.parametrize(
+    "beta, r", [(0.2, 4.0), (0.5, math.inf), (1.5, 4.0), (math.nan, 4.0), (0.5, math.nan)]
+)
+@pytest.mark.parametrize("name", ["factorization_smoothing", "smoothing_bound_factor"])
+def test_factorization_exponents_have_one_admissibility_check(name, beta, r):
+    # 1/r < beta < 1 with a finite r, for the smoothing stage and its bound alike
+    ens = PathEnsemble(np.ones((1, 11, 1)), TimeGrid(1.0, 10))
+    sg = SemigroupSpec(HilbertSpec(1), rates=[1.0], horizon=1.0)
+    with pytest.raises(StochConvError, match=r"requires beta in \(1/r, 1\) and a finite r"):
+        if name == "factorization_smoothing":
+            factorization_smoothing(ens, sg, beta, r)
+        else:
+            smoothing_bound_factor(beta, r, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.75])
+def test_singular_weights_are_the_scalar_pow_of_each_lag(beta):
+    dt = 1.0 / 7.0
+    got = singular_weights(beta, dt, 7)
+    assert got.tolist() == [(j * dt) ** (-beta) for j in range(1, 8)]

@@ -304,3 +304,9 @@ def test_step_products_give_a_zero_product_the_sign_of_a_sum():
     got = step_products(mats, inc)
     assert got.tobytes() == _einsum_step_products(mats, inc).tobytes()
     assert not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize("r", [True, "2", 0.5])
+def test_sup_lr_norm_takes_only_a_real_exponent_of_at_least_one(r):
+    with pytest.raises(StochConvError, match="r must be a finite real >= 1, got r="):
+        sup_lr_norm(np.full((3, 5, 1), 2.5), r)

@@ -191,3 +191,19 @@ def test_infinite_mass_rejected():
         DiscreteMeasureSpace((0,), [np.inf])
     with pytest.raises(StochConvError):
         _kernel([1.0], [[np.nan]])
+
+
+# an exponent that is NaN, infinite, below 1 or not a real number has no norm
+@pytest.mark.parametrize("p, q", [(math.nan, 2.0), (2.0, math.inf), (0.5, 2.0), (2.0, "2")])
+def test_lpq_norm_rejects_a_bad_exponent(rng, p, q):
+    k = _random_kernel(rng)
+    f = DiscreteFunction(np.ones((len(k.d1_points), len(k.base.points))))
+    with pytest.raises(StochConvError, match=r"[pq] must be a finite real >= 1"):
+        lpq_norm(f, k, p, q)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, math.inf), (math.inf, 2.0), (math.nan, 1.0), (2.0, True)])
+def test_holder_constant_rejects_a_bad_exponent(p, q):
+    k = _kernel([1.0, 1.0], [[1.0], [4.0]])
+    with pytest.raises(StochConvError, match=r"[pq] must be a finite real >= 1"):
+        holder_constant(k, p, q)

@@ -393,3 +393,55 @@ def test_integrand_short_of_one_matrix_per_step_is_a_dimension_mismatch(name):
             deterministic_lpq_norm(phi, grid, 2.0)
         else:
             integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0)
+
+
+# an exponent that is NaN, infinite or below 1 gives a number that bounds nothing
+_BAD_EXPONENT = r"[pqr] must be a finite real >= 1"
+
+
+@pytest.mark.parametrize(
+    "p, q", [(math.nan, 2.0), (2.0, math.inf), (math.inf, 2.0), (10**400, 2.0)]
+)
+def test_estimate_lpq_rejects_a_bad_exponent(p, q):
+    with pytest.raises(StochConvError, match=_BAD_EXPONENT):
+        estimate_lpq(_constant_ensemble(1.0), p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q, r", [(2.0, 2.0, math.inf), (math.nan, 2.0, 2.0), (2.0, math.nan, 2.0), (2.0, 2.0, "2")]
+)
+def test_estimate_lpqr_rejects_a_bad_exponent(p, q, r):
+    field = TwoParameterField(np.ones((1, 9, 9)), TimeGrid(1.0, 8))
+    with pytest.raises(StochConvError, match=_BAD_EXPONENT):
+        estimate_lpqr(field, p, q, r)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, "2"])
+def test_deterministic_lpq_norm_rejects_a_bad_exponent(q):
+    space = HilbertSpec(1)
+    phi = IntegrandSpec.from_constant(SpectralOperator(space, space, [1.0]))
+    with pytest.raises(StochConvError, match=_BAD_EXPONENT):
+        deterministic_lpq_norm(phi, TimeGrid(1.0, 6), q)
+
+
+def _battery_case():
+    space, grid = HilbertSpec(1), TimeGrid(1.0, 6)
+    sg = SemigroupSpec(space, rates=[1.0], horizon=1.0)
+    phi = IntegrandSpec.from_constant(SpectralOperator(space, space, [1.0]))
+    return phi, sg, sample_increments(QWienerSpec(space, [1.0]), grid, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "q, r", [(math.nan, 4.0), (math.inf, 4.0), (0.5, 4.0), (2.0, math.nan), (2.0, math.inf)]
+)
+def test_integral_norm_estimate_rejects_a_bad_exponent(q, r):
+    phi, sg, noise = _battery_case()
+    with pytest.raises(StochConvError, match=_BAD_EXPONENT):
+        integral_norm_estimate(phi, sg, noise, 0.3, q, r)
+
+
+@pytest.mark.parametrize("beta", [math.nan, 1.5, -1.0])
+def test_integral_norm_estimate_rejects_a_kernel_exponent_outside_0_1(beta):
+    phi, sg, noise = _battery_case()
+    with pytest.raises(StochConvError, match=r"beta must lie in \[0, 1\)"):
+        integral_norm_estimate(phi, sg, noise, beta, 2.0, 4.0)

@@ -109,3 +109,23 @@ def test_the_einsum_step_products_live_only_in_the_tests():
     ]
     assert offenders == []
     assert subscripts in (ROOT / "tests" / "test_ito.py").read_text()
+
+
+def _call_sites(name):
+    """``module.py:definition`` for every call of ``name`` in src/, by top-level definition."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                if name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    yield f"{path.name}:{getattr(top, 'name', '<module>')}"
+
+
+def test_lag_table_is_read_by_the_lag_engine_and_the_singular_slices_only():
+    # the convolution stages go through _lag_convolve; the norms field and battery
+    # through _singular_slices
+    assert sorted(_call_sites("lag_table")) == [
+        "convolution.py:_lag_convolve",
+        "norms.py:_singular_slices",
+    ]
