@@ -41,7 +41,7 @@ import numpy as np
 from ._parallel import path_blocks
 from .errors import DimensionMismatchError, StochConvError, check_exponent
 from .hilbert import SemigroupSpec, apply_operator, lag_table, semigroup_eval
-from .ito import IntegrandSpec, PathEnsemble, check_compatible, integrand_products
+from .ito import IntegrandSpec, PathEnsemble, check_compatible, integrand_products, node_magnitudes
 from .noise import NoiseEnsemble
 
 __all__ = [
@@ -294,6 +294,7 @@ def compare(a: PathEnsemble, b: PathEnsemble, meta: dict | None = None) -> Discr
             expected=a.values.shape,
             got=b.values.shape,
         )
+    # not node_magnitudes: inline, numpy squares the temporary difference in place
     diff = np.sqrt(np.sum((a.values - b.values) ** 2, axis=-1))
     info = {"dim": a.dim, "n_paths": a.n_paths}
     info.update(meta or {})
@@ -323,5 +324,5 @@ def left_lr_norm(ensemble: PathEnsemble, r: float) -> np.ndarray:
     Returns (sum_{i<N} |Y(t_i)|^r dt)^(1/r) for every path.
     """
     check_exponent("r", r)
-    mags = np.sqrt(np.sum(ensemble.values[:, :-1, :] ** 2, axis=-1))
+    mags = node_magnitudes(ensemble.values[:, :-1, :])
     return (np.sum(mags**r, axis=1) * ensemble.grid.dt) ** (1.0 / r)

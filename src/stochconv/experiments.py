@@ -134,10 +134,7 @@ def _variance_check(cfg: ScenarioConfig):
     ok = bool(np.all(deviations <= tolerances))
 
     header = ["mode", "rate", "q", "estimate", "closed_form", "se", "tolerance"]
-    rows = [
-        (k, rates[k], q_eig[k], estimates[k], closed[k], ses[k], tolerances[k])
-        for k in range(len(rates))
-    ]
+    rows = list(zip(range(len(rates)), rates, q_eig, estimates, closed, ses, tolerances))
     modes = [
         dict(zip(header, row), ok=bool(deviations[k] <= tolerances[k]))
         for k, row in enumerate(rows)
@@ -227,9 +224,11 @@ def _run_factorize_compare(cfg: ScenarioConfig):
     threshold = _number(opts, "final_threshold", "options")
     if not factors or sorted(factors, reverse=True) != factors or factors[-1] != 1:
         raise ConfigError("refinement_factors must decrease to 1")
-    fine_noise = _sample_noise(cfg)
+    if any(cfg.grid.n_steps % factor for factor in factors):
+        raise ConfigError(f"key 'refinement_factors' in options must divide N={cfg.grid.n_steps}")
     if cfg.integrand.kind != "constant":
         raise ConfigError("factorize-compare requires a constant integrand")
+    fine_noise = _sample_noise(cfg)
     rows = []
     errors = []
     violations = 0
@@ -267,6 +266,8 @@ def _run_factorize_compare(cfg: ScenarioConfig):
 def _run_constants(cfg: ScenarioConfig):
     default = [round(0.1 * k, 1) for k in range(1, 10)]
     betas = _numbers({"betas": default, **cfg.options}, "betas", "options").tolist()
+    if not betas or not all(0.0 < beta < 1.0 for beta in betas):
+        raise ConfigError("key 'betas' in options must be a non-empty list of numbers in (0, 1)")
     rows = []
     max_closed_diff = 0.0
     max_sym_diff = 0.0
@@ -308,9 +309,7 @@ def _run_norms(cfg: ScenarioConfig):
     c_beta = conv.c_beta(cfg.beta)
     time_factor = conv.smoothing_bound_factor(cfg.beta, cfg.r, cfg.grid.horizon)
     bound = cfg.grid.horizon ** (1.0 / cfg.r) * c_beta * semigroup.bound * time_factor * j_estimate
-    ratio = (
-        smoothed_lrr.estimate / field_norm.estimate if field_norm.estimate > 0 else 0.0
-    )
+    ratio = smoothed_lrr.estimate / field_norm.estimate if field_norm.estimate > 0 else 0.0
     ok = bool(np.isfinite(smoothed_lrr.estimate)) and ratio <= bound
 
     fields = {
@@ -338,8 +337,7 @@ def _run_norms(cfg: ScenarioConfig):
 
 
 def _random_kernel(rng) -> measures.KernelSpec:
-    n1 = int(rng.integers(1, 7))
-    n2 = int(rng.integers(1, 7))
+    n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     weights = rng.uniform(0.0, 2.0, n2)
     if rng.uniform() < 0.15:
         weights[rng.integers(0, n2)] = 0.0

@@ -289,23 +289,26 @@ def probe_predictability(
             )
 
 
+def node_magnitudes(values: np.ndarray) -> np.ndarray:
+    """Euclidean magnitude of each node value: the norm over the last (coordinate) axis."""
+    return np.sqrt(np.sum(values**2, axis=-1))
+
+
 def sup_norm(ensemble: PathEnsemble, path: int) -> float:
     """Maximum Euclidean node magnitude along one path."""
     check_path_index(path, ensemble.n_paths)
-    mags = np.sqrt(np.sum(ensemble.values[path] ** 2, axis=-1))
-    return float(np.max(mags))
+    return float(np.max(node_magnitudes(ensemble.values[path])))
 
 
 def path_sup_norms(ensemble: PathEnsemble) -> np.ndarray:
     """Per-path sup norms, shape (paths,)."""
-    mags = np.sqrt(np.sum(ensemble.values**2, axis=-1))
-    return np.max(mags, axis=1)
+    return np.max(node_magnitudes(ensemble.values), axis=1)
 
 
 def sup_lr_norm(values: np.ndarray, r: float) -> tuple[np.ndarray, float, float]:
     """Sup-L^r reduction of node values (paths, nodes, dim): per-path sup^r, mean, 1/r-th root."""
     check_exponent("r", r)
-    sups = np.max(np.sqrt(np.sum(values**2, axis=-1)), axis=1) ** r
+    sups = np.max(node_magnitudes(values), axis=1) ** r
     moment = float(np.mean(sups))
     return sups, moment, moment ** (1.0 / r)
 

@@ -19,7 +19,10 @@ import numpy as np
 from .convolution import singular_weights
 from .errors import DimensionMismatchError, StochConvError, check_exponent
 from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, lag_table, weight_eigenvalues
-from .ito import CONSTANT, NormReport, check_compatible, step_matrices, step_products, sup_lr_norm
+from .ito import (
+    CONSTANT, NormReport, check_compatible, node_magnitudes, step_matrices, step_products,
+    sup_lr_norm,
+)
 from .noise import NoiseEnsemble, TimeGrid
 
 __all__ = [
@@ -65,10 +68,7 @@ class TwoParameterField:
             raise DimensionMismatchError(
                 "need one ensemble per t-node", expected=n_nodes, got=len(ensembles)
             )
-        mags = np.stack(
-            [np.sqrt(np.sum(e.values**2, axis=-1)) for e in ensembles], axis=2
-        )
-        return cls(mags, grid)
+        return cls(np.stack([node_magnitudes(e.values) for e in ensembles], axis=2), grid)
 
 
 def _bootstrap_se(per_path_stat, n_paths: int, n_boot: int, seed: int) -> float:
@@ -98,7 +98,7 @@ def estimate_lpq(
     """
     check_exponent("p", p)
     check_exponent("q", q)
-    mags_p = np.sqrt(np.sum(ensemble.values**2, axis=-1)) ** p
+    mags_p = node_magnitudes(ensemble.values) ** p
     nodes = ensemble.grid.nodes
     n_paths = mags_p.shape[0]
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,15 @@ from stochconv import (
     TimeGrid,
     sample_increments,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def pytest_configure(config):
+    # the `pythonpath` ini setting reaches this process only; a test's child
+    # interpreter (`python -m stochconv.cli`) finds the checkout through PYTHONPATH
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
 
 
 @pytest.fixture

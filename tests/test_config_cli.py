@@ -453,3 +453,42 @@ def test_cli_bad_experiment_option_exits_one(tmp_path, capsys, experiment, optio
     rc = main([experiment, "--config", _write(tmp_path, data), "--out", str(tmp_path)])
     assert rc == 1
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "betas", [[], [1.5], [0.3, 0.0], [1.0]], ids=["empty", "above", "zero", "one"]
+)
+def test_constants_refuses_betas_that_check_nothing_or_leave_0_1(tmp_path, capsys, betas):
+    # an empty list passed with nothing checked; 1.5 failed inside beta_integral unnamed
+    data = _with_options("constants", {"betas": betas})
+    rc = main(["constants", "--config", _write(tmp_path, data), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'betas'" in err and "options" in err
+
+
+@pytest.mark.parametrize(
+    "update, key",
+    [
+        pytest.param(
+            {"options": {"refinement_factors": [3, 1]}}, "'refinement_factors'", id="factor-3-of-8"
+        ),
+        pytest.param(
+            {"integrand": {"kind": "time_varying", "operators": [_OP] * 8}},
+            "constant integrand",
+            id="time-varying",
+        ),
+    ],
+)
+def test_factorize_compare_refuses_bad_input_before_sampling(
+    tmp_path, monkeypatch, capsys, update, key
+):
+    data = _with_options("factorize-compare", {})
+    data.update(beta=0.5, **update)  # N = 8
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    rc = main(["factorize-compare", "--config", _write(tmp_path, data), "--out", str(tmp_path)])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from stochconv import (
+    ConfigError,
     DenseOperator,
     DimensionMismatchError,
     HilbertSpec,
@@ -17,7 +21,9 @@ from stochconv import (
     hs_norm,
     semigroup_eval,
 )
+from stochconv.config import parse_config
 from stochconv.hilbert import (
+    _expm,
     identity_operator,
     lag_table,
     operator_matrix,
@@ -322,3 +328,100 @@ def test_semigroup_rejects_a_non_numeric_horizon(horizon, dense):
     kind = {"generator": -np.eye(2)} if dense else {"rates": [1.0, 2.0]}
     with pytest.raises(StochConvError, match="horizon"):
         SemigroupSpec(HilbertSpec(2), horizon=horizon, **kind)
+
+
+def _block_expm(m):
+    """scipy's expm through diag(m, m^T), which is never triangular: the superseded runtime path."""
+    dim = m.shape[0]
+    both = np.zeros((2 * dim, 2 * dim))
+    both[:dim, :dim] = m
+    both[dim:, dim:] = m.T
+    return expm(both)[:dim, :dim]
+
+
+@given(
+    entries=st.lists(st.floats(-10.0, 10.0), min_size=36, max_size=36),
+    dim=st.integers(1, 6),
+    upper=st.booleans(),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_expm_matches_scipy_within_norm_scaled_tolerance(entries, dim, upper, scale):
+    gen = scale * np.array(entries).reshape(6, 6)[:dim, :dim]
+    if upper:  # triangular input: the case scipy's own triangular branch got wrong
+        gen = np.triu(gen)
+    ours, oracle = _expm(gen), _block_expm(gen)
+    # the relative max-norm gap grows with |A|: the factor 4000 is a 5x margin over the
+    # worst ratio to eps (1 + |A|_1) seen in 60k random comparisons (d <= 6, |a_ij| <= 10)
+    tol = 4000 * np.finfo(float).eps * (1.0 + np.linalg.norm(gen, 1))
+    assert np.max(np.abs(ours - oracle)) <= tol * np.max(np.abs(oracle))
+
+
+def test_expm_of_a_stack_matches_each_matrix():
+    scales = np.array([0.0, 0.1, 1.0, 4.0, 30.0])[:, None, None]
+    gens = scales * np.random.default_rng(3).normal(size=(5, 3, 3))
+    stacked = _expm(gens)
+    for gen, value in zip(gens, stacked):
+        assert np.array_equal(value, _expm(gen))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_expm_of_zero_is_exactly_the_identity(dim):
+    # S(0) = I exactly: a Pade solve returned (1 - 2^-53) I, and |S(0)| = 1 bounds the sup
+    assert np.array_equal(_expm(np.zeros((dim, dim))), np.eye(dim))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_norms_dense_generator_is_certified_with_bound_exactly_one(seed, monkeypatch):
+    # a contraction -diag(k^2) + skew: |S(t)| <= |S(0)| = 1, so both bounds are exactly 1
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    cfg = parse_config(workloads.WORKLOADS["norms-dense"].config(seed))
+    assert cfg.semigroup.sampled_bound == 1.0
+    assert cfg.semigroup.bound == 1.0
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        [[1e308]],
+        [[-1e308]],
+        [[1e308, 0.0], [1e308, 0.0]],
+        [[-9.5e307, 1.7e308, 0.0], [0.0, -9.5e307, 1.7e308], [0.0, 0.0, -9.5e307]],
+        [[-9.5e307, 0.0], [-9.5e307, 0.0]],
+        [[-1e308, 1e308], [0.0, -1e308]],
+    ],
+    ids=["grow", "decay", "column", "chain", "negative-column", "dissipative"],
+)
+def test_a_huge_generator_is_refused_or_bounds_the_fine_grid_sup(gen):
+    # (A + A^T) / 2 overflowed past 9e307: eigvalsh raised, or a NaN log-norm read as margin 1
+    dim = len(gen)
+    identity = {"kind": "diagonal", "eigenvalues": [1.0] * dim}
+    data = {
+        "experiment": "norms",
+        "dims": {"U": dim, "H": dim},
+        "grid": {"T": 1.0, "N": 8},
+        "semigroup": {"kind": "dense", "generator": gen},
+        "q_eigenvalues": [1.0] * dim,
+        "integrand": {"kind": "constant", "operator": identity},
+        "exponents": {"p": 2.0, "q": 2.0, "r": 4.0},
+        "beta": 0.3,
+        "seed": 0,
+        "n_paths": 4,
+    }
+    try:
+        semigroup = parse_config(data).semigroup
+    except ConfigError as exc:
+        assert "'generator'" in str(exc)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        fine_grid = _expm(np.linspace(0.0, 1.0, 2561)[:, None, None] * np.array(gen))
+    fine = math.inf
+    if np.isfinite(fine_grid).all():
+        fine = np.linalg.norm(fine_grid, 2, axis=(-2, -1)).max()
+    assert fine <= semigroup.bound * (1.0 + 1e-12)
+    if gen == [[-1e308, 1e308], [0.0, -1e308]]:  # mu(A) < 0: the margin stays 1
+        assert semigroup.bound == 1.0

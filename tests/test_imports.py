@@ -28,3 +28,11 @@ def test_import_loads_neither_scipy_fft_nor_scipy_signal():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy_module():
+    # scipy.linalg alone cost about 255 ms of a 426 ms import, for hilbert's expm only
+    code = "import sys, stochconv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
