@@ -21,6 +21,12 @@ where S(j dt) is decided (exp(-rate j dt) for a diagonal semigroup, the j-th
 power of S(dt) for a dense one, matching the prefix recursion of the direct
 pipeline, whose step S(dt) is ``semigroup_eval`` at dt, the table's row 1).
 
+The direct pipeline walks the time axis in ``ito.product_blocks`` step
+blocks: ``ito.fill_products`` writes a block's products Phi_k dW_k into a
+time-major buffer, the recursion reads its contiguous rows, and one transposing
+copy per block writes the nodes.  No array of all the products exists, but
+for the one exception that ``product_blocks`` names.
+
 The kernel and smoothing stages share one causal lag-convolution engine,
 ``_lag_convolve``: a zero-padded real FFT along the time axis with the kernel
 sequence w_j S(j dt), multiplied mode by mode for a diagonal semigroup and by
@@ -41,7 +47,10 @@ import numpy as np
 from ._parallel import path_blocks
 from .errors import DimensionMismatchError, StochConvError, check_exponent
 from .hilbert import SemigroupSpec, apply_operator, lag_table, semigroup_eval
-from .ito import IntegrandSpec, PathEnsemble, check_compatible, integrand_products, node_magnitudes
+from .ito import (
+    IntegrandSpec, PathEnsemble, check_compatible, fill_products, integrand_products,
+    node_magnitudes, product_blocks,
+)
 from .noise import NoiseEnsemble
 
 __all__ = [
@@ -222,20 +231,33 @@ def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
     """Euler-Ito stochastic convolution evaluated at every grid node.
 
     Node t_k carries sum_{i<k} S(t_k - t_i) Phi_{t_i} dW_i, computed by the
-    exact one-step recursion X_{k+1} = S(dt) (X_k + Phi_k dW_k).
+    exact one-step recursion X_{k+1} = S(dt) (X_k + Phi_k dW_k).  The time axis
+    is walked in ``ito.product_blocks`` step blocks: each block fills its
+    products Phi_k dW_k into a time-major (steps, paths, dim) buffer, the
+    recursion turns its contiguous (paths, dim) rows into nodes in place, and
+    one transposing copy writes the block's nodes, so no array of all the
+    products exists (``ito.product_blocks`` names the one exception).  The
+    bytes are those of the products-first recursion (``integrand_products``,
+    then one ``apply_operator`` per step).
 
     Returns:
       ``PathEnsemble`` with zero value at t_0.
     """
-    products = integrand_products(req.phi, req.noise)
-    n_paths, n_steps, dim_h = products.shape
-    dt = req.noise.grid.dt
+    phi, inc = req.phi, req.noise.increments
+    n_paths, n_steps, _ = inc.shape
+    dim_h = phi.codomain.dim
+    blocks = product_blocks(phi, n_paths, n_steps)
+    step = semigroup_eval(req.semigroup, req.noise.grid.dt)
     values = np.zeros((n_paths, n_steps + 1, dim_h))
-    step = semigroup_eval(req.semigroup, dt)
-    state = np.zeros((n_paths, dim_h))
-    for k in range(n_steps):
-        state = apply_operator(step, state + products[:, k, :])
-        values[:, k + 1, :] = state
+    rows = np.empty((blocks[0][1] - blocks[0][0], n_paths, dim_h))
+    for start, stop in blocks:
+        n = stop - start
+        fill_products(phi, inc, start, stop, rows[:n].swapaxes(0, 1))
+        state = values[:, start]  # X at the block's first node, zero at t_0
+        for j in range(n):  # row j: Phi_k dW_k, then X_k + Phi_k dW_k, then X_{k+1}
+            np.add(state, rows[j], out=rows[j])
+            state = apply_operator(step, rows[j], out=rows[j])
+        values[:, start + 1 : stop + 1] = rows[:n].swapaxes(0, 1)
     return PathEnsemble(values, req.noise.grid)
 
 

@@ -119,6 +119,8 @@ def _ou_variance(rate: float, q: float, f: float, t):
 
 def _variance_check(cfg: ScenarioConfig):
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
+    if cfg.n_paths < 2:  # before any noise is sampled
+        raise ConfigError(f"key 'n_paths' in config must be >= 2 for a variance, got {cfg.n_paths}")
     noise = _sample_noise(cfg)
     ensemble = conv.direct_convolution(_request(cfg, noise))
     final = ensemble.values[:, -1, :]

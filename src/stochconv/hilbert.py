@@ -105,13 +105,14 @@ def operator_matrix(op: Operator) -> np.ndarray:
     return op.entries
 
 
-def apply_operator(op: Operator, v: np.ndarray) -> np.ndarray:
+def apply_operator(op: Operator, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply a linear operator to a vector or a batch of vectors.
 
     Args:
       op: a ``SpectralOperator`` or ``DenseOperator``.
       v: array whose last axis has length ``op.domain.dim``; leading axes are
         treated as batch dimensions.
+      out: optional array of the result's shape to write into; it may be ``v``.
 
     Returns:
       Array of the same leading shape with last axis ``op.codomain.dim``.
@@ -127,8 +128,8 @@ def apply_operator(op: Operator, v: np.ndarray) -> np.ndarray:
             got=v.shape[-1],
         )
     if isinstance(op, SpectralOperator):
-        return v * op.eigenvalues
-    return v @ op.entries.T
+        return np.multiply(v, op.eigenvalues, out=out)
+    return np.matmul(v, op.entries.T, out=out)
 
 
 def weight_eigenvalues(weight: SpectralOperator | None, dim: int) -> np.ndarray:
@@ -171,6 +172,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
     Each m / 2^s has 1-norm <= 1/2, where the degree-14 Taylor sum truncates below
     2^-53; it is squared s times.  The norm of m 2^-64 cannot overflow; e^0 is exactly I.
+    The stack is sorted by s once, so the matrices still being squared are a suffix.
     """
     stack = np.array(m, dtype=np.float64, ndmin=3)
     norms = np.linalg.norm(np.ldexp(stack, -64), 1, axis=(-2, -1))
@@ -179,9 +181,18 @@ def _expm(m: np.ndarray) -> np.ndarray:
     out = eye = np.eye(stack.shape[-1])
     for k in range(14, 0, -1):  # Horner: I + x (I + x/2 (I + ... (I + x/14)))
         out = eye + x @ out / k
-    for i in range(steps.max()):  # square each sum s times
-        out[steps > i] = out[steps > i] @ out[steps > i]
-    return out.reshape(np.shape(m))
+    order = np.argsort(steps, axis=None, kind="stable")
+    ranked = steps.ravel()[order]
+    out = out.reshape((-1,) + out.shape[-2:])[order]
+    # squaring i squares the suffix from the first matrix with s > i
+    for lo in np.searchsorted(ranked, np.arange(ranked[-1]), side="right").tolist():
+        if lo == 0:
+            out = out @ out
+        else:
+            out[lo:] = out[lo:] @ out[lo:]
+    result = np.empty_like(out)
+    result[order] = out
+    return result.reshape(np.shape(m))
 
 
 def _dense_sup_bounds(generator: np.ndarray, horizon: float) -> tuple[float, float]:

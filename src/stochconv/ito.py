@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._parallel import path_blocks
 from .errors import DimensionMismatchError, PredictabilityError, StochConvError, check_exponent
 from .hilbert import (
     DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
@@ -212,23 +213,56 @@ def step_products(mats: np.ndarray, inc: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def fill_products(
+    phi: IntegrandSpec, inc: np.ndarray, start: int, stop: int, out: np.ndarray
+) -> np.ndarray:
+    """Write Phi_{t_i} dW_i for the steps start <= i < stop into ``out``.
+
+    ``out`` has shape (paths, stop - start, dim_H) and may be a strided view
+    such as ``buf[:n].swapaxes(0, 1)`` of a time-major buffer.  ``inc`` holds
+    the increments of every step, (paths, N, dim_U): an adapted callback reads
+    all of it.  Over the ranges of ``product_blocks`` a step's bytes are those
+    of one fill over all steps.
+    """
+    n_steps = inc.shape[1]
+    if phi.kind == CONSTANT:
+        if stop - start == 1 < n_steps and isinstance(phi.constant, DenseOperator):
+            # numpy sends a one-row product to BLAS gemv, which sums in another order than gemm
+            lo = min(start, n_steps - 2)
+            out[:] = apply_operator(phi.constant, inc[:, lo : lo + 2])[:, start - lo : stop - lo]
+        else:
+            apply_operator(phi.constant, inc[:, start:stop], out=out)
+    elif phi.kind == TIME_VARYING:
+        step_products(step_matrices(phi, n_steps)[start:stop], inc[:, start:stop], out=out)
+    else:
+        for i in range(start, stop):
+            mats = np.asarray(phi.callback(i, inc), dtype=np.float64)
+            if mats.ndim == 2:
+                out[:, i - start, :] = inc[:, i, :] @ mats.T
+            else:
+                out[:, i - start, :] = np.einsum("phu,pu->ph", mats, inc[:, i, :])
+    return out
+
+
+def product_blocks(phi: IntegrandSpec, n_paths: int, n_steps: int) -> list[tuple[int, int]]:
+    """Step ranges (start, stop) covering range(n_steps) for ``fill_products``.
+
+    ``_parallel.path_blocks`` ranges of n_paths * dim_H elements per step, except
+    for a dense constant operator onto a one-dimensional H: BLAS gemv sums its
+    products in an order that depends on a row's place in the call, so all
+    steps form one range.
+    """
+    if isinstance(phi.constant, DenseOperator) and phi.codomain.dim == 1 < phi.domain.dim:
+        return [(0, n_steps)]
+    return path_blocks(n_steps, n_paths * phi.codomain.dim)
+
+
 def integrand_products(phi: IntegrandSpec, noise: NoiseEnsemble) -> np.ndarray:
     """Per-step products Phi_{t_i} dW_i, shape (paths, N, dim_H)."""
     check_compatible(phi, noise)
     inc = noise.increments
     n_paths, n_steps, _ = inc.shape
-    if phi.kind == CONSTANT:
-        return apply_operator(phi.constant, inc)
-    if phi.kind == TIME_VARYING:
-        return step_products(step_matrices(phi, n_steps), inc)
-    out = np.empty((n_paths, n_steps, phi.codomain.dim))
-    for i in range(n_steps):
-        mats = np.asarray(phi.callback(i, inc), dtype=np.float64)
-        if mats.ndim == 2:
-            out[:, i, :] = inc[:, i, :] @ mats.T
-        else:
-            out[:, i, :] = np.einsum("phu,pu->ph", mats, inc[:, i, :])
-    return out
+    return fill_products(phi, inc, 0, n_steps, np.empty((n_paths, n_steps, phi.codomain.dim)))
 
 
 def ito_integrate(

@@ -492,3 +492,20 @@ def test_factorize_compare_refuses_bad_input_before_sampling(
     assert rc == 1
     assert key in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("name", ["heat_spde.json", "ou_check.json", "convolve_ou.json"])
+def test_variance_experiments_refuse_one_path_before_sampling(
+    tmp_path, monkeypatch, capsys, name
+):
+    # a sample variance of one path is NaN: it wrote "estimate": NaN into the report
+    data = json.loads((CONFIG_DIR / name).read_text())
+    data["n_paths"] = 1
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    out = tmp_path / "out"
+    rc = main([data["experiment"], "--config", _write(tmp_path, data), "--out", str(out)])
+    assert rc == 1
+    assert "'n_paths'" in capsys.readouterr().err
+    assert not list(out.glob("*_report.json"))

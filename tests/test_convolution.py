@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from stochconv import (
     sup_norm,
     wiener_values,
 )
+from stochconv import _parallel
 from stochconv._parallel import BLOCK_ELEMENTS
 from stochconv.convolution import (
     _fft_length,
@@ -38,8 +41,8 @@ from stochconv.convolution import (
     singular_weights,
     smoothing_bound_factor,
 )
-from stochconv.hilbert import lag_table, operator_matrix
-from stochconv.ito import path_sup_norms
+from stochconv.hilbert import apply_operator, lag_table, operator_matrix
+from stochconv.ito import integrand_products, path_sup_norms, product_blocks
 
 
 def _scalar_request(n_steps=200, n_paths=300, rate=1.0, beta=0.3, r=4.0, seed=2718):
@@ -146,6 +149,106 @@ def test_direct_dense_semigroup_matches_diagonal():
     a = direct_convolution(diag_req).values
     b = direct_convolution(dense_req).values
     assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(a)))
+
+
+def _stepwise_direct_convolution(req):
+    """The products-first recursion that the step-block walk replaced, kept as its oracle."""
+    products = integrand_products(req.phi, req.noise)
+    n_paths, n_steps, dim_h = products.shape
+    values = np.zeros((n_paths, n_steps + 1, dim_h))
+    step = semigroup_eval(req.semigroup, req.noise.grid.dt)
+    state = np.zeros((n_paths, dim_h))
+    for k in range(n_steps):
+        state = apply_operator(step, state + products[:, k, :])
+        values[:, k + 1, :] = state
+    return values
+
+
+@st.composite
+def _direct_cases(draw):
+    """A request over every integrand kind and both semigroup kinds, P <= 8, N <= 60, d <= 5."""
+    n_paths, n_steps = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["spectral", "dense", "time_varying", "callback", "path_callback"]))
+    dim_h = draw(st.integers(1, 5))
+    dim_u = dim_h if kind == "spectral" else draw(st.integers(1, 5))
+    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = sample_increments(
+        QWienerSpec(space_u, rng.uniform(0.1, 2.0, dim_u)), TimeGrid(1.0, n_steps),
+        draw(st.integers(0, 2**32 - 1)), n_paths,
+    )
+    mat = rng.normal(size=(dim_h, dim_u))
+    if kind == "spectral":
+        eigenvalues = rng.normal(size=dim_u)
+        phi = IntegrandSpec.from_constant(SpectralOperator(space_u, space_h, eigenvalues))
+    elif kind == "dense":
+        phi = IntegrandSpec.from_constant(DenseOperator(space_u, space_h, mat))
+    elif kind == "time_varying":
+        mats = rng.normal(size=(n_steps + 1, dim_h, dim_u))
+        phi = IntegrandSpec.from_matrices(space_u, space_h, mats)
+    elif kind == "callback":
+        phi = IntegrandSpec.from_callback(space_u, space_h, lambda i, inc: mat * (1.0 + i))
+    else:  # per-path matrices that read the previous increment
+        per_path = rng.normal(size=(n_paths, dim_h, dim_u))
+        phi = IntegrandSpec.from_callback(
+            space_u, space_h, lambda i, inc: per_path + (inc[:, i - 1, :1, None] if i else 0.0)
+        )
+    if draw(st.booleans()):
+        sg = SemigroupSpec(space_h, rates=rng.uniform(0.0, 5.0, dim_h))
+    else:
+        sg = SemigroupSpec(space_h, generator=rng.normal(size=(dim_h, dim_h)))
+    return ConvolutionRequest(phi, sg, noise)
+
+
+@given(req=_direct_cases(), block_elements=st.sampled_from([BLOCK_ELEMENTS, 1, 7, 24, 100]))
+@settings(max_examples=300, deadline=None)
+def test_step_block_direct_convolution_is_bitwise_the_stepwise_oracle(req, block_elements):
+    # small budgets give blocks of one step, blocks of several and a short last block
+    with mock.patch.object(_parallel, "BLOCK_ELEMENTS", block_elements):
+        fast = direct_convolution(req).values
+    assert fast.tobytes() == _stepwise_direct_convolution(req).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 2), (3, 1)])
+@pytest.mark.parametrize("generator", [False, True])
+def test_direct_convolution_in_blocks_with_a_short_last_one_is_bitwise_the_oracle(dims, generator):
+    dim_u, dim_h = dims
+    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    rng = np.random.default_rng(13)
+    noise = sample_increments(QWienerSpec(space_u, np.ones(dim_u)), TimeGrid(1.0, 37), 8, 5)
+    entries = rng.normal(size=(dim_h, dim_u))
+    phi = IntegrandSpec.from_constant(DenseOperator(space_u, space_h, entries))
+    if generator:
+        sg = SemigroupSpec(space_h, generator=rng.normal(size=(dim_h, dim_h)))
+    else:
+        sg = SemigroupSpec(space_h, rates=rng.uniform(0.0, 5.0, dim_h))
+    req = ConvolutionRequest(phi, sg, noise)
+    with mock.patch.object(_parallel, "BLOCK_ELEMENTS", 4 * 5 * dim_h):
+        blocks = product_blocks(phi, 5, 37)
+        fast = direct_convolution(req).values
+    if dim_h == 1 < dim_u:  # BLAS gemv: its sums depend on a row's place in the call
+        assert blocks == [(0, 37)]
+    else:
+        assert len(blocks) == 10 and blocks[-1] == (36, 37)
+    assert fast.tobytes() == _stepwise_direct_convolution(req).tobytes()
+
+
+def test_direct_convolution_holds_no_array_of_all_the_products():
+    # tracemalloc sees numpy's allocations: the values, the finiteness mask of
+    # PathEnsemble (one byte per value) and a block buffer, not a (P, N, d) products array
+    space = HilbertSpec(4)
+    noise = sample_increments(QWienerSpec(space, np.ones(4)), TimeGrid(1.0, 2000), 3, 200)
+    phi = IntegrandSpec.from_constant(SpectralOperator(space, space, np.ones(4)))
+    req = ConvolutionRequest(phi, SemigroupSpec(space, rates=[1.0, 2.0, 3.0, 4.0]), noise)
+    tracemalloc.start()
+    try:
+        values = direct_convolution(req).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * BLOCK_ELEMENTS
+    assert values.nbytes >= 20 * block_bytes
+    assert peak < values.nbytes + values.size + 4 * block_bytes
 
 
 # ------------------------------------------------------- kernel pipeline

@@ -365,6 +365,41 @@ def test_expm_of_a_stack_matches_each_matrix():
         assert np.array_equal(value, _expm(gen))
 
 
+def _masked_squaring_expm(m):
+    """_expm with its former squaring loop, one boolean mask per squaring, kept as its oracle."""
+    stack = np.array(m, dtype=np.float64, ndmin=3)
+    norms = np.linalg.norm(np.ldexp(stack, -64), 1, axis=(-2, -1))
+    steps = np.where(norms > 0.0, np.maximum(np.frexp(norms)[1] + 65, 0), 0)
+    x = np.ldexp(stack, -steps[..., None, None])
+    out = eye = np.eye(stack.shape[-1])
+    for k in range(14, 0, -1):
+        out = eye + x @ out / k
+    for i in range(steps.max()):
+        out[steps > i] = out[steps > i] @ out[steps > i]
+    return out.reshape(np.shape(m))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.sampled_from([(1,), (7,), (2, 5)]),
+    dim=st.integers(1, 5),
+    log_scales=st.lists(st.floats(-20.0, 300.0), min_size=10, max_size=10),
+    zeros=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_expm_squaring_by_suffix_is_bitwise_the_masked_loop(seed, lead, dim, log_scales, zeros):
+    # each matrix gets its own number of squarings, from 0 (a zero matrix) to over 1000
+    count = int(np.prod(lead))
+    scales = 10.0 ** np.resize(log_scales, count)
+    scales[: min(zeros, count)] = 0.0
+    gens = scales[:, None, None] * np.random.default_rng(seed).normal(size=(count, dim, dim))
+    gens = gens.reshape(lead + (dim, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _expm(gens).tobytes() == _masked_squaring_expm(gens).tobytes()
+        first = gens[(0,) * len(lead)]
+        assert _expm(first).tobytes() == _masked_squaring_expm(first).tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5, 8])
 def test_expm_of_zero_is_exactly_the_identity(dim):
     # S(0) = I exactly: a Pade solve returned (1 - 2^-53) I, and |S(0)| = 1 bounds the sup
