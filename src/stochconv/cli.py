@@ -2,12 +2,13 @@
 
 Usage::
 
-    stochconv <experiment> --config file.json [--out dir] [--check] [--seed N]
+    stochconv <experiment> --config file.json [--out dir] [--check] [--seed N] [--workers W]
     stochconv convolve --config file.json --method {direct,factorized,both} \
-        --out paths.csv [--check] [--seed N]
+        --out paths.csv [--check] [--seed N] [--workers W]
 
-Exit codes: 0 on success, 1 on a configuration/schema violation, 2 when an
-invariant check fails in ``--check`` mode.
+Exit codes: 0 on success, 1 on a configuration/schema violation or an
+unreadable config or unwritable output path, 2 when an invariant check fails
+in ``--check`` mode.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
                 return 1
             report, ok = run_experiment(cfg, args.out)
             print(f"{args.command} all_ok={ok} hash={cfg.config_hash[:12]} -> {args.out}")
-    except StochConvError as exc:
+    except (StochConvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.check and not ok:

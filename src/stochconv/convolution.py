@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._parallel import path_blocks
-from .errors import DimensionMismatchError, StochConvError, check_exponent
+from .errors import DimensionMismatchError, StochConvError, check_exponent, frozen_array
 from .hilbert import SemigroupSpec, apply_operator, lag_table, semigroup_eval
 from .ito import (
     IntegrandSpec, PathEnsemble, check_compatible, fill_products, integrand_products,
@@ -101,11 +101,12 @@ class DiscrepancyReport:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.asarray(self.per_node_mean_abs, dtype=np.float64)
-        arr.setflags(write=False)
+        arr = frozen_array(
+            self.per_node_mean_abs, "discrepancy statistics", copy=False, nonnegative=True
+        )
         object.__setattr__(self, "per_node_mean_abs", arr)
-        if np.any(arr < 0.0) or self.sup_abs < 0.0:
-            raise StochConvError("discrepancy statistics must be nonnegative")
+        if not 0.0 <= self.sup_abs < np.inf:  # NaN fails too
+            raise StochConvError("discrepancy statistics must be finite and nonnegative")
 
     @property
     def max_node_mean(self) -> float:

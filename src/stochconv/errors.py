@@ -1,4 +1,4 @@
-"""Exception types and the number-argument tests shared across the library."""
+"""Exception types and the argument tests for numbers and arrays shared across the library."""
 
 from numbers import Real
 from sys import float_info
@@ -47,3 +47,20 @@ def check_exponent(name: str, value, strict: bool = False) -> None:
     if not (is_real(value) and 1.0 <= value <= float_info.max and not (strict and value == 1.0)):
         sign = ">" if strict else ">="
         raise StochConvError(f"{name} must be a finite real {sign} 1, got {name}={value!r}")
+
+
+def frozen_array(values, what: str, copy: bool = True, nonnegative: bool = False) -> np.ndarray:
+    """``values`` as a read-only float64 array; raise ``StochConvError`` naming ``what``
+    unless every entry is finite (and >= 0 when ``nonnegative``).
+
+    ``copy=False`` keeps a float64 input's memory.  The test reads only the min and the
+    max, so it allocates no mask; a NaN fails both comparisons, and an empty array passes.
+    """
+    arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
+    arr.setflags(write=False)
+    if arr.size:
+        low = arr.min()
+        if not ((low >= 0.0 if nonnegative else low > -np.inf) and arr.max() < np.inf):
+            rule = "finite and nonnegative" if nonnegative else "finite"
+            raise StochConvError(f"{what} must be {rule}")
+    return arr

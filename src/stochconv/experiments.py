@@ -32,29 +32,23 @@ from .norms import (
     singular_kernel_field,
 )
 
-__all__ = ["run_experiment", "run_convolve", "jsonify", "write_json"]
+__all__ = ["run_experiment", "run_convolve", "write_json"]
 
 
-def jsonify(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
+def _json_default(obj):
+    """JSON form of a numpy array, integer or bool; np.float64 is a float already."""
     if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str, data: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonify(data), fh, sort_keys=True, indent=2)
+        json.dump(data, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 

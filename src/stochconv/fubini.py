@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .convolution import DiscrepancyReport, compare
-from .errors import DimensionMismatchError, StochConvError
+from .errors import DimensionMismatchError, StochConvError, frozen_array
 from .ito import IntegrandSpec, PathEnsemble, integrand_products
 from .noise import NoiseEnsemble, prefix_sums
 
@@ -41,8 +41,7 @@ class FubiniFamily:
     integrands: tuple
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        w.setflags(write=False)
+        w = frozen_array(self.weights, "weights", nonnegative=True)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "integrands", tuple(self.integrands))
@@ -54,8 +53,6 @@ class FubiniFamily:
             )
         if w.size == 0:
             raise StochConvError("family needs at least one atom")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise StochConvError("weights must be finite and nonnegative")
         dims = {(g.domain.dim, g.codomain.dim) for g in self.integrands}
         if len(dims) != 1:
             raise DimensionMismatchError(

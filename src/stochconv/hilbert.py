@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StochConvError, is_integer, is_real
+from .errors import DimensionMismatchError, StochConvError, frozen_array, is_integer, is_real
 
 __all__ = [
     "HilbertSpec",
@@ -29,12 +29,6 @@ __all__ = [
     "operator_matrix",
     "identity_operator",
 ]
-
-
-def _frozen_array(values, dtype=np.float64):
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class SpectralOperator:
                 expected=self.domain.dim,
                 got=self.codomain.dim,
             )
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
+        object.__setattr__(self, "eigenvalues", frozen_array(self.eigenvalues, "eigenvalues"))
         if self.eigenvalues.shape != (self.domain.dim,):
             raise DimensionMismatchError(
                 "eigenvalue list length must match space dimension",
@@ -82,7 +76,7 @@ class DenseOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_array(self.entries))
+        object.__setattr__(self, "entries", frozen_array(self.entries, "operator entries"))
         if self.entries.shape != (self.codomain.dim, self.domain.dim):
             raise DimensionMismatchError(
                 "operator matrix shape must be (codomain.dim, domain.dim)",
@@ -241,17 +235,16 @@ class SemigroupSpec:
         if not (is_real(self.horizon) and self.horizon > 0.0):  # NaN fails too
             raise StochConvError(f"horizon must be a positive number, got {self.horizon!r}")
         if self.rates is not None:
-            object.__setattr__(self, "rates", _frozen_array(self.rates))
+            rates = frozen_array(self.rates, "diagonal semigroup rates", nonnegative=True)
+            object.__setattr__(self, "rates", rates)
             if self.rates.shape != (self.space.dim,):
                 raise DimensionMismatchError(
                     "rate list length must match space dimension",
                     expected=(self.space.dim,),
                     got=self.rates.shape,
                 )
-            if not np.all((self.rates >= 0.0) & (self.rates < np.inf)):  # NaN fails too
-                raise StochConvError("diagonal semigroup rates must be finite and >= 0")
         else:
-            object.__setattr__(self, "generator", _frozen_array(self.generator))
+            object.__setattr__(self, "generator", frozen_array(self.generator, "generator"))
             if self.generator.shape != (self.space.dim, self.space.dim):
                 raise DimensionMismatchError(
                     "generator must be a square matrix on the space",

@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._parallel import path_blocks
-from .errors import DimensionMismatchError, PredictabilityError, StochConvError, check_exponent
+from .errors import (
+    DimensionMismatchError, PredictabilityError, StochConvError, check_exponent, frozen_array,
+)
 from .hilbert import (
     DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
 )
@@ -63,8 +65,7 @@ class IntegrandSpec:
         if self.kind not in (CONSTANT, TIME_VARYING, ADAPTED):
             raise StochConvError(f"unknown integrand kind {self.kind!r}")
         if self.kind == TIME_VARYING:
-            mats = np.array(self.node_matrices, dtype=np.float64)
-            mats.setflags(write=False)
+            mats = frozen_array(self.node_matrices, "node matrices")
             object.__setattr__(self, "node_matrices", mats)
             if mats.ndim != 3 or mats.shape[1:] != (self.codomain.dim, self.domain.dim):
                 raise DimensionMismatchError(
@@ -122,8 +123,7 @@ class PathEnsemble:
     grid: TimeGrid
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        vals.setflags(write=False)
+        vals = frozen_array(self.values, "path ensemble values", copy=False)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 3 or vals.shape[1] != self.grid.n_steps + 1:
             raise DimensionMismatchError(
@@ -131,8 +131,6 @@ class PathEnsemble:
                 expected=("paths", self.grid.n_steps + 1, "dim"),
                 got=vals.shape,
             )
-        if not np.all(np.isfinite(vals)):
-            raise StochConvError("path ensemble contains non-finite entries")
 
     @property
     def n_paths(self) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StochConvError, check_exponent
+from .errors import DimensionMismatchError, StochConvError, check_exponent, frozen_array
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -32,8 +32,7 @@ class DiscreteMeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        w.setflags(write=False)
+        w = frozen_array(self.weights, "atom weights", nonnegative=True)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "points", tuple(self.points))
         if w.shape != (len(self.points),):
@@ -42,8 +41,6 @@ class DiscreteMeasureSpace:
                 expected=(len(self.points),),
                 got=w.shape,
             )
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise StochConvError("atom weights must be finite and nonnegative")
 
     @property
     def total_mass(self) -> float:
@@ -64,8 +61,7 @@ class KernelSpec:
     atom_masses: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.atom_masses, dtype=np.float64)
-        m.setflags(write=False)
+        m = frozen_array(self.atom_masses, "kernel masses", nonnegative=True)
         object.__setattr__(self, "atom_masses", m)
         object.__setattr__(self, "d1_points", tuple(self.d1_points))
         if m.shape != (len(self.base.points), len(self.d1_points)):
@@ -74,8 +70,6 @@ class KernelSpec:
                 expected=(len(self.base.points), len(self.d1_points)),
                 got=m.shape,
             )
-        if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-            raise StochConvError("kernel masses must be finite and nonnegative")
 
     @property
     def first_factor_masses(self) -> np.ndarray:
@@ -95,8 +89,7 @@ class DiscreteFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        v.setflags(write=False)
+        v = frozen_array(self.values, "function values")
         object.__setattr__(self, "values", v)
         if v.ndim not in (2, 3):
             raise StochConvError("values must be a 2-d (scalar) or 3-d (vector) array")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_over_paths
-from .errors import DimensionMismatchError, StochConvError, is_integer, is_real
+from .errors import DimensionMismatchError, StochConvError, frozen_array, is_integer, is_real
 from .hilbert import HilbertSpec
 
 __all__ = [
@@ -76,8 +76,7 @@ class QWienerSpec:
     q_eigenvalues: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.q_eigenvalues, dtype=np.float64)
-        q.setflags(write=False)
+        q = frozen_array(self.q_eigenvalues, "covariance eigenvalues", nonnegative=True)
         object.__setattr__(self, "q_eigenvalues", q)
         if q.shape != (self.space.dim,):
             raise DimensionMismatchError(
@@ -85,8 +84,6 @@ class QWienerSpec:
                 expected=(self.space.dim,),
                 got=q.shape,
             )
-        if np.any(q < 0.0) or not np.all(np.isfinite(q)):
-            raise StochConvError("covariance eigenvalues must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,7 @@ class NoiseEnsemble:
     spec: QWienerSpec
 
     def __post_init__(self):
+        # a frozen view with no value pass: sampling and coarsening give finite values
         inc = np.asarray(self.increments, dtype=np.float64)
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
@@ -167,7 +165,7 @@ def sample_increments(
       grid: uniform time grid; increment (m, i, k) has variance q_k * dt.
       master_seed: 64-bit seed keying the whole ensemble.
       n_paths: number of independent paths, >= 1.
-      workers: worker threads; the output does not depend on this.
+      workers: worker threads, >= 1; the output does not depend on this.
 
     Returns:
       ``NoiseEnsemble`` with increments of shape (n_paths, N, dim).
@@ -176,6 +174,8 @@ def sample_increments(
         raise StochConvError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
     if not is_integer(n_paths) or n_paths < 1:
         raise StochConvError(f"n_paths must be a positive integer, got {n_paths!r}")
+    if not is_integer(workers) or workers < 1:
+        raise StochConvError(f"workers must be a positive integer, got {workers!r}")
     n_steps, dim = grid.n_steps, spec.space.dim
     scale = np.sqrt(spec.q_eigenvalues * grid.dt)
     out = np.empty((n_paths, n_steps, dim))
@@ -262,7 +262,8 @@ def load_increments(file) -> np.ndarray:
     """Read back an increment array written by ``save_increments``.
 
     ``file`` is a path or a seekable binary file.  The header's dims are checked
-    against the bytes that remain before the payload is read.
+    against the bytes that remain before the payload is read, and the payload
+    must be finite.
     """
     with open_path_or_file(file, "rb") as fh:
         magic = fh.read(len(_DUMP_MAGIC))
@@ -281,4 +282,4 @@ def load_increments(file) -> np.ndarray:
                 f"increment dump header {shape} needs {n_bytes} bytes, {remaining} remain"
             )
         data = np.frombuffer(fh.read(n_bytes), dtype="<f8")
-        return data.reshape(shape).copy()
+        return frozen_array(data, "increment dump payload", copy=False).reshape(shape).copy()

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .convolution import singular_weights
-from .errors import DimensionMismatchError, StochConvError, check_exponent
+from .errors import DimensionMismatchError, check_exponent, frozen_array
 from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, lag_table, weight_eigenvalues
 from .ito import (
     CONSTANT, NormReport, check_compatible, node_magnitudes, step_matrices, step_products,
@@ -47,8 +47,7 @@ class TwoParameterField:
     grid: TimeGrid
 
     def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        mags.setflags(write=False)
+        mags = frozen_array(self.magnitudes, "field magnitudes", copy=False, nonnegative=True)
         object.__setattr__(self, "magnitudes", mags)
         n_nodes = self.grid.n_steps + 1
         if mags.ndim != 3 or mags.shape[1:] != (n_nodes, n_nodes):
@@ -57,8 +56,6 @@ class TwoParameterField:
                 expected=("paths", n_nodes, n_nodes),
                 got=mags.shape,
             )
-        if np.any(mags < 0.0):
-            raise StochConvError("field magnitudes must be nonnegative")
 
     @classmethod
     def from_ensembles(cls, ensembles: Sequence, grid: TimeGrid) -> "TwoParameterField":

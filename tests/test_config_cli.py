@@ -391,6 +391,29 @@ def test_convolve_refuses_an_inadmissible_beta_before_sampling(tmp_path, monkeyp
     assert "requires beta in (1/r, 1)" in capsys.readouterr().err
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_convolve_into_a_missing_directory_exits_one(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "dir" / "paths.csv")
+    argv = ["convolve", "--config", _write(tmp_path, _base_config()), "--method", "direct", "--out", out]
+    assert main(argv) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_experiment_out_through_an_existing_file_exits_one(tmp_path, capsys, sub):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / sub) if sub else str(blocker)
+    assert main(["ou-check", "--config", _write(tmp_path, _base_config()), "--out", out]) == 1
+    _one_error_line(capsys)
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     rc = subprocess.run(
         [sys.executable, "-m", "stochconv.cli", "constants",

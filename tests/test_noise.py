@@ -222,6 +222,16 @@ def test_dump_rejects_truncated_header():
         load_increments(io.BytesIO(b"QWIENER1" + b"\0" * 10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dump_rejects_a_non_finite_payload(bad):
+    payload = np.zeros((2, 3, 1))
+    payload[1, 2, 0] = bad
+    header = np.array(payload.shape, dtype="<u8").tobytes()
+    dump = io.BytesIO(b"QWIENER1" + header + payload.astype("<f8").tobytes())
+    with pytest.raises(StochConvError, match="increment dump payload must be finite"):
+        load_increments(dump)
+
+
 def test_gaussian_moments_sane():
     z = standard_gaussians(5, np.zeros(200_000, dtype=np.uint64), np.arange(200_000, dtype=np.uint64), 0)
     n = z.size
@@ -242,6 +252,17 @@ def test_invalid_arguments():
     ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
     with pytest.raises(StochConvError):
         wiener_values(ens, 2)
+
+
+@pytest.mark.parametrize("workers", ["2", 2.5, 0, -3, True])
+def test_sample_increments_refuses_a_bad_worker_count(workers):
+    with pytest.raises(StochConvError, match="workers"):
+        sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2, workers=workers)
+
+
+def test_sample_increments_accepts_a_numpy_worker_count():
+    ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2, workers=np.int64(2))
+    assert ens.increments.shape == (2, 4, 1)
 
 
 def _oracle_gaussians(seed, path_ix, step_ix, mode_ix):

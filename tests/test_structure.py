@@ -122,6 +122,17 @@ def _call_sites(name):
                     yield f"{path.name}:{getattr(top, 'name', '<module>')}"
 
 
+def test_only_frozen_array_freezes_the_arrays_of_value_objects():
+    # errors.frozen_array freezes and value-checks every array field; probe_predictability
+    # freezes its perturbed copy, and NoiseEnsemble its increments (a view with no value pass)
+    assert sorted(_call_sites("setflags")) == [
+        "errors.py:frozen_array",
+        "ito.py:probe_predictability",
+        "noise.py:NoiseEnsemble",
+    ]
+    assert [path.name for path in SRC.glob("*.py") if "writeable" in path.read_text()] == []
+
+
 def test_lag_table_is_read_by_the_lag_engine_and_the_singular_slices_only():
     # the convolution stages go through _lag_convolve; the norms field and battery
     # through _singular_slices
