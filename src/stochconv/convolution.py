@@ -93,7 +93,10 @@ class ConvolutionRequest:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Node-resolved and global discrepancy between two path ensembles."""
+    """Node-resolved and global discrepancy between two path ensembles.
+
+    A float64 ``per_node_mean_abs`` is kept as a read-only view of the caller's array.
+    """
 
     per_node_mean_abs: np.ndarray
     sup_abs: float

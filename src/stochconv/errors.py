@@ -53,10 +53,12 @@ def frozen_array(values, what: str, copy: bool = True, nonnegative: bool = False
     """``values`` as a read-only float64 array; raise ``StochConvError`` naming ``what``
     unless every entry is finite (and >= 0 when ``nonnegative``).
 
-    ``copy=False`` keeps a float64 input's memory.  The test reads only the min and the
-    max, so it allocates no mask; a NaN fails both comparisons, and an empty array passes.
+    ``copy=False`` returns a read-only view of a float64 input: the value object shares
+    the caller's memory, and the caller's array stays writable (a later write to it shows
+    through).  The test reads only the min and the max, so it allocates no mask; a NaN
+    fails both comparisons, and an empty array passes.
     """
-    arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, np.float64).view()
     arr.setflags(write=False)
     if arr.size:
         low = arr.min()

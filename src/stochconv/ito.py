@@ -117,7 +117,11 @@ def _scaled_operator(op: Operator, factor: float) -> Operator:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """H-valued process values at grid nodes, shape (paths, N + 1, dim_H)."""
+    """H-valued process values at grid nodes, shape (paths, N + 1, dim_H).
+
+    A float64 ``values`` is not copied: ``.values`` is a read-only view of the
+    caller's array, which stays writable.
+    """
 
     values: np.ndarray
     grid: TimeGrid
@@ -194,6 +198,7 @@ def step_matrices(phi: IntegrandSpec, n_steps: int) -> np.ndarray:
 def step_products(mats: np.ndarray, inc: np.ndarray, out=None) -> np.ndarray:
     """Phi_i dW_i for step matrices (n, dim_H, dim_U) and increments (paths, n, dim_U).
 
+    Increments of shape (paths, 1, dim_U) pair one step's dW with all n matrices.
     One batched ``matmul`` over the time axis, written into ``out`` (which may
     be a strided view such as ``buf[:, :n]``) or a fresh (paths, n, dim_H)
     array.  BLAS sums over dim_U in its own order, so for dim_U > 1 the last
@@ -203,7 +208,7 @@ def step_products(mats: np.ndarray, inc: np.ndarray, out=None) -> np.ndarray:
     output, so a zero product is +0.0 as a sum started from zero gives it.
     """
     if out is None:
-        out = np.empty(inc.shape[:2] + mats.shape[1:2])
+        out = np.empty((inc.shape[0],) + mats.shape[:2])
     if mats.shape[2] == 1:
         np.einsum("ih,pi->pih", mats[:, :, 0], inc[:, :, 0], out=out)
     else:

@@ -7,6 +7,11 @@ two-parameter norm
 two-parameter field.  Node quadrature is trapezoidal in each time variable,
 the path mean sits innermost, and standard errors come from a seeded
 multinomial bootstrap over paths (200 resamples by default).
+
+The singular-kernel family (t_k - s_i)^(-beta) S(t_k - s_i) Phi_i, i < k, comes
+from one set of factors (``_slice_terms``).  The field reads it slice by slice; the
+Ito-operator battery walks the steps once for all open slices, holding running sums
+(N, paths, dim_H), running maxima (N, paths) and one block of products.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
+from ._parallel import path_blocks
 from .convolution import singular_weights
 from .errors import DimensionMismatchError, check_exponent, frozen_array
 from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, lag_table, weight_eigenvalues
 from .ito import (
     CONSTANT, NormReport, check_compatible, node_magnitudes, step_matrices, step_products,
-    sup_lr_norm,
 )
 from .noise import NoiseEnsemble, TimeGrid
 
@@ -40,7 +45,8 @@ class TwoParameterField:
     """Pointwise magnitudes |zeta((omega, s), t)| on the grid, per path.
 
     ``magnitudes`` has shape (paths, n_nodes, n_nodes); axis 1 is the process
-    time s, axis 2 the parameter time t.
+    time s, axis 2 the parameter time t.  A float64 array is kept as a read-only
+    view of the caller's array, not copied.
     """
 
     magnitudes: np.ndarray
@@ -140,23 +146,31 @@ def estimate_lpqr(
     return NormReport(estimate, se, p=p, q=q, r=r, n_paths=n_paths, n_boot=n_boot)
 
 
-def _singular_slices(phi, semigroup: SemigroupSpec, grid: TimeGrid, beta: float, weight):
-    """Slices k = 1..N of the singular-kernel family for a deterministic integrand.
+def _slice_terms(phi, semigroup: SemigroupSpec, grid: TimeGrid, beta: float):
+    """Factors of the pair matrices w_j S(j dt) Phi_i of the singular slices, lag j = k - i.
 
-    Yields, per k, mats[i] = (t_k - s_i)^(-beta) S(t_k - s_i) Phi_i over the support
-    i < k, shape (k, dim_H, dim_U), and hs[i], the (weighted) HS norm of mats[i].
+    Returns the weights w_j = (j dt)^(-beta) at index j - 1 (j = 1..N), the lag matrices
+    S(j dt) at index j (j = 0..N) and the step matrices Phi_i (i < N).
     """
     n_steps, dt = grid.n_steps, grid.dt
     weights = singular_weights(beta, dt, n_steps)
-    q = weight_eigenvalues(weight, phi.domain.dim)
     nodes = step_matrices(phi, n_steps)
     lag_mats = lag_table(semigroup, dt, n_steps)
     if lag_mats.ndim == 2:  # diagonal rows onto the diagonal of d x d matrices
         lag_mats = np.stack([np.diag(row) for row in lag_mats])
-    for k in range(1, n_steps + 1):
+    return weights, lag_mats, nodes
+
+
+def _singular_slices(weights, lag_mats, nodes, q):
+    """The (weighted) HS norms of slices k = 1..N of the singular-kernel family.
+
+    Yields, per k, hs[i] = |(t_k - s_i)^(-beta) S(t_k - s_i) Phi_i Q^(1/2)|_HS over the
+    support i < k, from the ``_slice_terms`` factors and the weight eigenvalues q.
+    """
+    for k in range(1, nodes.shape[0] + 1):
         # node i < k sits at lag k - i; |M Q^(1/2)|_HS^2 = sum_u q_u |M e_u|^2
         mats = weights[k - 1 :: -1, None, None] * (lag_mats[k:0:-1] @ nodes[:k])
-        yield mats, np.sqrt(np.einsum("ihu,u->i", mats**2, q))
+        yield np.sqrt(np.einsum("ihu,u->i", mats**2, q))
 
 
 def singular_kernel_field(
@@ -174,8 +188,10 @@ def singular_kernel_field(
     expectation of a deterministic integrand is trivial.
     """
     n_nodes = grid.n_steps + 1
+    terms = _slice_terms(phi, semigroup, grid, beta)
+    q = weight_eigenvalues(weight, phi.domain.dim)
     mags = np.zeros((1, n_nodes, n_nodes))
-    for k, (_, hs) in enumerate(_singular_slices(phi, semigroup, grid, beta, weight), 1):
+    for k, hs in enumerate(_singular_slices(*terms, q), 1):
         mags[0, :k, k] = hs
     return TwoParameterField(mags, grid)
 
@@ -207,24 +223,53 @@ def integral_norm_estimate(
 
     Slice k is the deterministic integrand s -> 1_{s<t_k} (t_k-s)^(-beta) S(t_k-s) Phi_s,
     as in ``singular_kernel_field``.  Returns the largest ratio, over k = 1..N, of the
-    L^r path norm of its Ito integral, taken only over its support i < k in one
-    (paths, N, dim_H) buffer, to its L^q time norm (0 if every slice vanishes).
+    L^r path norm of its Ito integral to its L^q time norm (0 if every slice vanishes).
+
+    One pass walks the steps i = 0..N-1 and serves the slices still open (k > i), so
+    slice k is integrated only over its support i < k.  Per block of open slices
+    (``_parallel.path_blocks`` of dim_H * paths elements per slice) it builds the pair
+    matrices w_{k-i} S((k-i) dt) Phi_i with one stacked ``matmul``, multiplies them with
+    dW_i in one ``ito.step_products`` call (one gemm per slice, shaped as in a
+    slice-by-slice pass), adds the products into the running Ito sums (N, paths, dim_H)
+    and keeps each path's largest squared magnitude (N, paths).  Every product, sum and
+    reduction is the one a slice-by-slice cumulative sum makes: the bytes are the same.
     """
     check_exponent("q", q_exponent)
     check_exponent("r", r)
     check_compatible(phi, noise)
-    grid = noise.grid
-    inc = noise.increments
-    paths, hs_row = np.empty((inc.shape[0], grid.n_steps, phi.codomain.dim)), np.zeros(grid.n_steps)
-    estimate = 0.0
-    for mats, hs in _singular_slices(phi, semigroup, grid, beta, weight):
-        k = hs.size
+    grid, inc = noise.grid, noise.increments
+    n_paths, n_steps, dim_u = inc.shape
+    dim_h = phi.codomain.dim
+    weights, lag_mats, nodes = terms = _slice_terms(phi, semigroup, grid, beta)
+    hs_row, slice_norms = np.zeros(n_steps), []
+    for hs in _singular_slices(*terms, weight_eigenvalues(weight, dim_u)):
         # zero past k, as in the N-step slice: the sum keeps the N-long pairwise order
-        hs_row[:k] = hs
-        slice_norm = float((np.sum(hs_row**q_exponent) * grid.dt) ** (1.0 / q_exponent))
-        if slice_norm == 0.0:
-            continue
-        values = step_products(mats, inc[:, :k], out=paths[:, :k])
-        np.cumsum(values, axis=1, out=values)
-        estimate = max(estimate, sup_lr_norm(values, r)[2] / slice_norm)
+        hs_row[: hs.size] = hs
+        slice_norms.append(float((np.sum(hs_row**q_exponent) * grid.dt) ** (1.0 / q_exponent)))
+    sums = np.zeros((n_steps, n_paths, dim_h))  # row k - 1: the Ito sum of slice k
+    best = np.zeros((n_steps, n_paths))  # row k - 1: its largest squared magnitude so far
+    _, block = path_blocks(n_steps, n_paths * dim_h)[0]
+    prods, square = np.empty((block, n_paths, dim_h)), np.empty((block, n_paths))
+    for i in range(n_steps):
+        for lo, hi in path_blocks(n_steps - i, n_paths * dim_h):  # lags lo + 1 .. hi
+            pairs = weights[lo:hi, None, None] * (lag_mats[lo + 1 : hi + 1] @ nodes[i])
+            prod, sq = prods[: hi - lo], square[: hi - lo]
+            step_products(pairs, inc[:, i : i + 1], out=prod.swapaxes(0, 1))
+            run, top = sums[i + lo : i + hi], best[i + lo : i + hi]
+            run += prod
+            # np.sum adds fewer than 8 terms left to right, as these column adds do,
+            # and 8 or more in pairwise blocks
+            if dim_h < 8:
+                np.square(run[..., 0], out=sq)
+                for h in range(1, dim_h):
+                    sq += run[..., h] ** 2
+            else:
+                np.sum(run**2, axis=-1, out=sq)
+            np.maximum(top, sq, out=top)
+    estimate = 0.0
+    for slice_norm, top in zip(slice_norms, best):
+        if slice_norm != 0.0:
+            # sqrt is monotone: the sqrt of the largest square is the largest magnitude
+            moment = float(np.mean(np.sqrt(top) ** r))
+            estimate = max(estimate, moment ** (1.0 / r) / slice_norm)
     return estimate

@@ -105,6 +105,18 @@ def test_copy_false_shares_memory_and_copy_true_leaves_the_caller_writeable():
     assert frozen[0] == 0.0
 
 
+def test_a_value_object_leaves_the_callers_buffer_writable():
+    # copy=False freezes a view: the caller may reuse its buffer after construction
+    buf = np.zeros((2, 3, 2))
+    ensemble = PathEnsemble(buf, GRID)
+    assert np.shares_memory(ensemble.values, buf)
+    assert buf.flags.writeable and not ensemble.values.flags.writeable
+    buf[0, 0, 0] = 1.0
+    assert ensemble.values[0, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ensemble.values[0, 0, 0] = 2.0
+
+
 def test_frozen_array_converts_to_float64_and_passes_an_empty_array():
     assert frozen_array([1, 2], "x").dtype == np.float64
     assert frozen_array(np.float32([0.5]), "x", copy=False).dtype == np.float64

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,9 +29,10 @@ from stochconv import (
     lr_path_norm,
     sample_increments,
 )
-from stochconv import norms
+from stochconv import _parallel, norms
 from stochconv.convolution import smoothing_bound_factor
-from stochconv.hilbert import lag_table, operator_matrix, semigroup_eval
+from stochconv.hilbert import lag_table, operator_matrix, semigroup_eval, weight_eigenvalues
+from stochconv.ito import step_products, sup_lr_norm
 from stochconv.norms import deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field
 
 
@@ -317,27 +319,108 @@ def test_integral_norm_estimate_matches_padded_slice_oracle(
     assert got == _padded_slice_battery(phi, nodes, sg, noise, beta, q, r, weight)
 
 
-def test_integral_norm_estimate_integrates_each_slice_over_its_support(monkeypatch):
-    space, grid = HilbertSpec(2), TimeGrid(1.0, 7)
+def _slice_major_battery(phi, sg, noise, beta, q, r, weight):
+    """The battery slice by slice: each slice's products over its k steps, a cumulative
+    sum over them, then its sup-L^r norm, as the estimator ran before it walked the steps."""
+    grid = noise.grid
+    inc = noise.increments
+    weights, lag_mats, nodes = norms._slice_terms(phi, sg, grid, beta)
+    q_eig = weight_eigenvalues(weight, phi.domain.dim)
+    paths, hs_row = np.empty((inc.shape[0], grid.n_steps, phi.codomain.dim)), np.zeros(grid.n_steps)
+    estimate = 0.0
+    for k in range(1, grid.n_steps + 1):
+        mats = weights[k - 1 :: -1, None, None] * (lag_mats[k:0:-1] @ nodes[:k])
+        hs_row[:k] = np.sqrt(np.einsum("ihu,u->i", mats**2, q_eig))
+        slice_norm = float((np.sum(hs_row**q) * grid.dt) ** (1.0 / q))
+        if slice_norm == 0.0:
+            continue
+        values = step_products(mats, inc[:, :k], out=paths[:, :k])
+        np.cumsum(values, axis=1, out=values)
+        estimate = max(estimate, sup_lr_norm(values, r)[2] / slice_norm)
+    return estimate
+
+
+@given(
+    dim_u=st.integers(1, 3),
+    dim_h=st.sampled_from([1, 2, 3, 8, 9]),
+    n_steps=st.integers(1, 20),
+    n_paths=st.integers(1, 6),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    dense=st.booleans(),
+    kind=st.sampled_from(["spectral", "dense", "time_varying"]),
+    q=st.sampled_from([1.0, 2.0, 3.5]),
+    r=st.sampled_from([1.0, 2.0, 4.0]),
+    weighted=st.booleans(),
+    slices_per_block=st.one_of(st.none(), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_integral_norm_estimate_equals_the_slice_major_loop(
+    dim_u, dim_h, n_steps, n_paths, beta, dense, kind, q, r, weighted, slices_per_block, seed
+):
+    rng = np.random.default_rng(seed)
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
+    rates = rng.uniform(0.0, 3.0, dim_h)
+    if dense:  # non-normal: strict upper coupling on top of the diagonal decay
+        coupling = np.triu(rng.normal(size=(dim_h, dim_h)), 1)
+        sg = SemigroupSpec(space_h, generator=coupling - np.diag(rates))
+    else:
+        sg = SemigroupSpec(space_h, rates=rates, horizon=1.0)
+    if kind == "spectral" and dim_u == dim_h:
+        eigenvalues = rng.normal(size=dim_u)
+        phi = IntegrandSpec.from_constant(SpectralOperator(space_u, space_h, eigenvalues))
+    elif kind == "time_varying":
+        mats = rng.normal(size=(n_steps, dim_h, dim_u))
+        phi = IntegrandSpec.from_matrices(space_u, space_h, mats)
+    else:
+        phi = IntegrandSpec.from_constant(
+            DenseOperator(space_u, space_h, rng.normal(size=(dim_h, dim_u)))
+        )
+    # zero weight eigenvalues make slices vanish: every slice at dim_U 1
+    weight = (
+        SpectralOperator(space_u, space_u, rng.uniform(0.0, 1.0, dim_u) * (rng.random(dim_u) < 0.7))
+        if weighted else None
+    )
+    noise = sample_increments(
+        QWienerSpec(space_u, rng.uniform(0.1, 1.0, dim_u)), TimeGrid(1.0, n_steps), seed, n_paths
+    )
+    want = _slice_major_battery(phi, sg, noise, beta, q, r, weight)
+    with pytest.MonkeyPatch.context() as mp:
+        if slices_per_block is not None:  # every step past the last 3 splits into blocks
+            mp.setattr(_parallel, "BLOCK_ELEMENTS", slices_per_block * dim_h * n_paths)
+        assert integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight) == want
+
+
+@pytest.mark.parametrize("block_elements", [None, 25])
+def test_integral_norm_estimate_multiplies_each_open_slice_once_per_step(
+    monkeypatch, block_elements
+):
+    n_steps = 7
+    space, grid = HilbertSpec(2), TimeGrid(1.0, n_steps)
     sg = SemigroupSpec(space, rates=[1.0, 2.0], horizon=1.0)
     phi = IntegrandSpec.from_constant(SpectralOperator(space, space, [1.0, 0.5]))
     noise = sample_increments(QWienerSpec(space, [1.0, 1.0]), grid, 3, 5)
-    shapes = []
+    pairs = Counter()
     original = norms.step_products
 
     def recording(mats, inc, out=None):
-        shapes.append((mats.shape[0], inc.shape[1], out.shape[1]))
+        step = [i for i in range(n_steps) if np.array_equal(inc, noise.increments[:, i : i + 1])]
+        assert len(step) == 1, "one step's increments per call"
+        pairs[step[0]] += mats.shape[0]
         return original(mats, inc, out=out)
 
     def refuse(self):
         raise AssertionError(f"the battery built a {type(self).__name__}")
 
     monkeypatch.setattr(norms, "step_products", recording)
+    if block_elements is not None:  # 10 elements per slice: blocks of 2 slices
+        monkeypatch.setattr(_parallel, "BLOCK_ELEMENTS", block_elements)
     for cls in (IntegrandSpec, PathEnsemble, NormReport):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     assert integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0) > 0.0
-    # slice k multiplies the k steps before t_k and no step past them
-    assert shapes == [(k, k, k) for k in range(1, 8)]
+    # step i multiplies dW_i by the N - i slices k > i still open, and by no other
+    assert pairs == {i: n_steps - i for i in range(n_steps)}
+    assert sum(pairs.values()) == n_steps * (n_steps + 1) // 2
 
 
 def _weight_mismatch_calls():

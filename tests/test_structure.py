@@ -135,8 +135,8 @@ def test_only_frozen_array_freezes_the_arrays_of_value_objects():
 
 def test_lag_table_is_read_by_the_lag_engine_and_the_singular_slices_only():
     # the convolution stages go through _lag_convolve; the norms field and battery
-    # through _singular_slices
+    # through _slice_terms
     assert sorted(_call_sites("lag_table")) == [
         "convolution.py:_lag_convolve",
-        "norms.py:_singular_slices",
+        "norms.py:_slice_terms",
     ]
