@@ -246,6 +246,8 @@ def integral_norm_estimate(
         # zero past k, as in the N-step slice: the sum keeps the N-long pairwise order
         hs_row[: hs.size] = hs
         slice_norms.append(float((np.sum(hs_row**q_exponent) * grid.dt) ** (1.0 / q_exponent)))
+    if not any(slice_norms):
+        return 0.0
     sums = np.zeros((n_steps, n_paths, dim_h))  # row k - 1: the Ito sum of slice k
     best = np.zeros((n_steps, n_paths))  # row k - 1: its largest squared magnitude so far
     _, block = path_blocks(n_steps, n_paths * dim_h)[0]
@@ -257,14 +259,7 @@ def integral_norm_estimate(
             step_products(pairs, inc[:, i : i + 1], out=prod.swapaxes(0, 1))
             run, top = sums[i + lo : i + hi], best[i + lo : i + hi]
             run += prod
-            # np.sum adds fewer than 8 terms left to right, as these column adds do,
-            # and 8 or more in pairwise blocks
-            if dim_h < 8:
-                np.square(run[..., 0], out=sq)
-                for h in range(1, dim_h):
-                    sq += run[..., h] ** 2
-            else:
-                np.sum(run**2, axis=-1, out=sq)
+            np.sum(run**2, axis=-1, out=sq)  # the reduction of ``ito.node_magnitudes``
             np.maximum(top, sq, out=top)
     estimate = 0.0
     for slice_norm, top in zip(slice_norms, best):
