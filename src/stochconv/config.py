@@ -63,7 +63,19 @@ def _number(data: dict, key: str, where: str) -> float:
 
 
 def _finite(values: list, key: str, where: str) -> np.ndarray:
-    """A flat list of finite numbers as a float array."""
+    """A flat list of finite numbers as a float array.
+
+    A list of plain ints and floats whose sum is finite is converted at once:
+    a NaN or an inf makes the sum NaN or inf.  Any other list (bools,
+    subclasses, strings, an int too large for a float, NaN, inf, or finite
+    values whose sum overflows) is checked one element at a time.
+    """
+    if set(map(type, values)) <= {int, float}:
+        try:
+            if math.isfinite(sum(values)):
+                return np.asarray(values, float)
+        except OverflowError:  # an integer too large for a float
+            pass
     if not all(_is_finite(v) for v in values):
         raise ConfigError(f"key {key!r} in {where} must hold finite numbers")
     return np.asarray(values, float)

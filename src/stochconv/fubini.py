@@ -5,11 +5,13 @@ For a finite weighted family of integrands the two pipelines
 * mix first:  integrate the weighted sum of the integrands,
 * mix last:   integrate each member, then form the weighted sum,
 
-agree up to floating-point reassociation of a finite double sum.  One pass
-over the atoms builds both sides from one ``integrand_products`` call per atom:
-they share the scaled per-step products w_j * (g_j(t_i) dW_i) and differ only
-in the reduction order (atoms inner vs. atoms outer), so a single-atom family
-commutes bitwise.
+agree up to floating-point reassociation of a finite double sum.  One walk
+over the time steps builds both sides: each (atom, step) product
+w_j * (g_j(t_i) dW_i) is filled once and feeds both reduction orders (atoms
+inner vs. atoms outer), so a single-atom family commutes bitwise.  The atoms
+are reduced left to right on both sides, with the bytes of one
+``integrand_products`` call per atom, and no temporary is larger than one
+atom's products, P * N * dim_H values, whatever the number of atoms.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ import numpy as np
 
 from .convolution import DiscrepancyReport, compare
 from .errors import DimensionMismatchError, StochConvError, frozen_array
-from .ito import IntegrandSpec, PathEnsemble, integrand_products
-from .noise import NoiseEnsemble, prefix_sums
+from .hilbert import apply_operator
+from .ito import (
+    CONSTANT, IntegrandSpec, PathEnsemble, check_compatible, fill_products, one_call_per_path,
+)
+from .noise import NoiseEnsemble
 
 __all__ = [
     "FubiniFamily",
@@ -73,17 +78,95 @@ class FubiniFamily:
         return len(self.atoms)
 
 
+def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
+    """Contiguous atom ranges (start, stop) of at most n_steps atoms, in atom order.
+
+    A ``one_call_per_path`` atom is a range of its own, so that its one step
+    block covers every step.
+    """
+    groups, start = [], 0
+    for j, phi in enumerate(family.integrands):
+        alone = one_call_per_path(phi)
+        if j > start and (alone or j - start == n_steps):
+            groups.append((start, j))
+            start = j
+        if alone:
+            groups.append((j, j + 1))
+            start = j + 1
+    if start < family.n_atoms:
+        groups.append((start, family.n_atoms))
+    return groups
+
+
+def _fill(phi: IntegrandSpec, inc: np.ndarray, start: int, stop: int, rows: np.ndarray):
+    """Phi_{t_i} dW_i for start <= i < stop into time-major rows (stop - start, paths, dim_H)."""
+    if phi.kind == CONSTANT and min(inc.shape[:2]) >= 2 and not one_call_per_path(phi):
+        # one BLAS product per step over all paths; with one path here, or one step in
+        # the per-path product, a one-row product goes to gemv, which sums in another order
+        apply_operator(phi.constant, inc[:, start:stop].swapaxes(0, 1), out=rows)
+    else:
+        fill_products(phi, inc, start, stop, rows.swapaxes(0, 1))
+
+
+def _add_atoms(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray, onto_out: bool):
+    """out (paths, n, dim_H) = [out +] rows[:, 0] + rows[:, 1] + ..., left to right.
+
+    ``rows`` is a time-major block (n, atoms, paths, dim_H) and ``nodes`` an
+    (n, paths, dim_H) scratch.  Not ``np.add.reduce`` over the atom axis: it
+    sums pairwise when a step holds one value (P * dim_H == 1).
+    """
+    np.copyto(nodes, out.swapaxes(0, 1) if onto_out else rows[:, 0])
+    for j in range(0 if onto_out else 1, rows.shape[1]):
+        nodes += rows[:, j]
+    out[:] = nodes.swapaxes(0, 1)
+
+
+def _walk_steps(
+    phis: tuple, weights: np.ndarray, inc: np.ndarray, first: np.ndarray, last: np.ndarray,
+    onto: bool,
+):
+    """Add one atom group's scaled products into ``first`` and its integrals into ``last``.
+
+    The steps go in blocks of max(1, N // g) for g atoms, so the time-major block
+    (steps, g, paths, dim_H) and the atoms' running prefix sums (g, paths, dim_H)
+    hold at most P * N * dim_H values each.  With ``onto`` both sides add onto
+    what earlier atoms left there.
+    """
+    n_paths, n_steps, _ = inc.shape
+    size = max(1, n_steps // len(phis))
+    block = np.empty((size, len(phis), n_paths, first.shape[2]))
+    nodes = np.empty((size, n_paths, first.shape[2]))
+    state = np.empty(block.shape[1:])  # each atom's sum over the steps so far
+    for start in range(0, n_steps, size):
+        stop = min(start + size, n_steps)
+        rows = block[: stop - start]
+        for j, phi in enumerate(phis):
+            _fill(phi, inc, start, stop, rows[:, j])
+        rows *= weights[:, None, None]
+        _add_atoms(rows, nodes[: stop - start], first[:, start + 1 : stop + 1], onto)
+        if start:
+            rows[0] += state
+        for i in range(1, stop - start):
+            rows[i] += rows[i - 1]
+        state[:] = rows[-1]
+        _add_atoms(rows, nodes[: stop - start], last[:, start + 1 : stop + 1], onto)
+
+
 def _both_orders(family: FubiniFamily, noise: NoiseEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
-    """Mix-first and mix-last integrals from one ``integrand_products`` call per atom."""
-    for j, (phi, weight) in enumerate(zip(family.integrands, family.weights)):
-        products = integrand_products(phi, noise)
-        products *= weight
-        if j == 0:  # both sums start from atom 0
-            mixed, total = products, prefix_sums(products)
-        else:  # atoms reduced inside the steps, and after the prefix sums
-            mixed += products
-            total[:, 1:, :] += np.cumsum(products, axis=1, out=products)
-    return PathEnsemble(prefix_sums(mixed), noise.grid), PathEnsemble(total, noise.grid)
+    """Mix-first and mix-last integrals from one walk over the steps per atom group.
+
+    The groups go left to right, so both sides reduce the atoms left to right;
+    the mix-first products take their prefix sum over time at the end.
+    """
+    phis, weights, inc = family.integrands, family.weights, noise.increments
+    check_compatible(phis[0], noise)
+    n_paths, n_steps, _ = inc.shape
+    first = np.zeros((n_paths, n_steps + 1, phis[0].codomain.dim))
+    last = np.zeros_like(first)
+    for a0, a1 in _atom_groups(family, n_steps):
+        _walk_steps(phis[a0:a1], weights[a0:a1], inc, first, last, onto=a0 > 0)
+    np.cumsum(first[:, 1:], axis=1, out=first[:, 1:])
+    return PathEnsemble(first, noise.grid), PathEnsemble(last, noise.grid)
 
 
 def integrate_then_ito(family: FubiniFamily, noise: NoiseEnsemble) -> PathEnsemble:
@@ -97,8 +180,10 @@ def integrate_then_ito(family: FubiniFamily, noise: NoiseEnsemble) -> PathEnsemb
 def ito_then_integrate(family: FubiniFamily, noise: NoiseEnsemble) -> PathEnsemble:
     """Integrate each member first, then average (atoms reduced last).
 
-    Returns sum_j w_j I(g(y_j)) computed on the same noise, with the scaled
-    per-step products shared bit-for-bit with ``integrate_then_ito``.
+    Returns sum_j w_j I(g(y_j)) computed on the same noise: each member's
+    running prefix sums advance step by step and are added atom by atom at
+    every node, from the scaled per-step products that ``integrate_then_ito``
+    sums, bit for bit.
     """
     return _both_orders(family, noise)[1]
 

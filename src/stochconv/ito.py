@@ -247,15 +247,22 @@ def fill_products(
     return out
 
 
+def one_call_per_path(phi: IntegrandSpec) -> bool:
+    """True for a dense constant operator onto a one-dimensional H (dim_U > 1).
+
+    numpy sends its products to BLAS gemv, which sums them in an order that
+    depends on a row's place in the call, so all steps of a path go in one call.
+    """
+    return isinstance(phi.constant, DenseOperator) and phi.codomain.dim == 1 < phi.domain.dim
+
+
 def product_blocks(phi: IntegrandSpec, n_paths: int, n_steps: int) -> list[tuple[int, int]]:
     """Step ranges (start, stop) covering range(n_steps) for ``fill_products``.
 
     ``_parallel.path_blocks`` ranges of n_paths * dim_H elements per step, except
-    for a dense constant operator onto a one-dimensional H: BLAS gemv sums its
-    products in an order that depends on a row's place in the call, so all
-    steps form one range.
+    for ``one_call_per_path`` integrands, whose steps form one range.
     """
-    if isinstance(phi.constant, DenseOperator) and phi.codomain.dim == 1 < phi.domain.dim:
+    if one_call_per_path(phi):
         return [(0, n_steps)]
     return path_blocks(n_steps, n_paths * phi.codomain.dim)
 

@@ -42,10 +42,6 @@ class DiscreteMeasureSpace:
                 got=w.shape,
             )
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
 
 @dataclass(frozen=True)
 class KernelSpec:

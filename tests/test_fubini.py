@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochconv import (
@@ -26,6 +27,7 @@ from stochconv import fubini
 from stochconv.config import parse_config
 from stochconv.convolution import compare
 from stochconv.experiments import run_experiment
+from stochconv.ito import integrand_products
 
 from conftest import relative_gap
 
@@ -191,47 +193,58 @@ def test_family_validation():
         )
 
 
-def test_fubini_experiment_builds_each_side_once(tmp_path, monkeypatch):
+def test_each_atom_step_product_is_filled_once(tmp_path, monkeypatch):
+    # one walk over the steps builds both sides: A * N (atom, step) products in all
+    filled = []
+    original = fubini._fill
+
+    def counting(phi, inc, start, stop, rows):
+        filled.extend((id(phi), i) for i in range(start, stop))
+        return original(phi, inc, start, stop, rows)
+
+    monkeypatch.setattr(fubini, "_fill", counting)
     data = json.loads((CONFIG_DIR / "fubini_midpoint.json").read_text())
     data["n_paths"] = 3
-    n_atoms = data["options"]["family"]["quadrature"]["n"]
-    calls = []
-    original = fubini.integrand_products
-
-    def counting(phi, noise):
-        calls.append(phi)
-        return original(phi, noise)
-
-    monkeypatch.setattr(fubini, "integrand_products", counting)
-    _, ok = run_experiment(parse_config(data), str(tmp_path))
+    cfg = parse_config(data)
+    _, ok = run_experiment(cfg, str(tmp_path))
     assert ok
-    assert len(calls) == n_atoms
+    n_atoms = data["options"]["family"]["quadrature"]["n"]
+    assert len(filled) == len(set(filled)) == n_atoms * cfg.grid.n_steps
+    assert len({phi for phi, _ in filled}) == n_atoms
 
-
-def test_fubini_report_makes_one_products_call_per_atom(monkeypatch):
-    noise = _noise(dim=2, n_steps=20, n_paths=4, seed=5)
+    filled.clear()  # more atoms than steps: several atom groups, one step per block
+    noise = _noise(dim=2, n_steps=5, n_paths=4, seed=5)
     base = _constant_integrand(dim=2)
-    family = FubiniFamily.from_factory(
-        [0.1, 0.4, 0.7, 1.0, 1.3], [0.2] * 5, lambda y: base.scaled(y)
-    )
-    calls = []
-    original = fubini.integrand_products
-
-    def counting(phi, noise):
-        calls.append(phi)
-        return original(phi, noise)
-
-    monkeypatch.setattr(fubini, "integrand_products", counting)
+    family = FubiniFamily.from_factory(np.arange(13) + 1.0, [0.2] * 13, base.scaled)
     fubini_report(family, noise)
-    assert len(calls) == family.n_atoms
-    assert all(got is phi for got, phi in zip(calls, family.integrands))
+    assert sorted(filled) == sorted((id(phi), i) for phi in family.integrands for i in range(5))
+
+
+def test_both_orders_memory_does_not_grow_with_the_atoms():
+    # temporaries stay within one atom's products, P * N * dim_H values, at 4N atoms
+    n_paths, n_steps, dim = 128, 40, 4
+    noise = _noise(dim=dim, n_steps=n_steps, n_paths=n_paths, seed=8)
+    space = HilbertSpec(dim)
+    mats = np.random.default_rng(8).normal(size=(4 * n_steps, dim, dim))
+    family = FubiniFamily.from_factory(
+        range(4 * n_steps),
+        np.full(4 * n_steps, 0.01),
+        lambda j: IntegrandSpec.from_constant(DenseOperator(space, space, mats[j])),
+    )
+    tracemalloc.start()
+    try:
+        fubini._both_orders(family, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n_paths * (n_steps + 1) * dim * 8
 
 
 # ------------------------------------------- oracle: one products loop per side
 
 
 def _scaled_products(family, noise, j):
-    products = fubini.integrand_products(family.integrands[j], noise)
+    products = integrand_products(family.integrands[j], noise)
     products *= family.weights[j]
     return products
 
@@ -256,34 +269,63 @@ def _mix_last_oracle(family, noise):
     return total
 
 
-def _random_family(rng, dim, n_steps, n_atoms, kind):
-    space = HilbertSpec(dim)
+KINDS = ["spectral", "dense", "time_varying", "adapted"]
+
+
+def _random_family(rng, dim_u, dim_h, n_steps, n_atoms, kind):
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
+    kinds = [k for k in KINDS if dim_u == dim_h or k != "spectral"]
 
     def member(_):
-        if kind == "spectral":
-            eigenvalues = rng.normal(size=dim)
-            return IntegrandSpec.from_constant(SpectralOperator(space, space, eigenvalues))
-        if kind == "dense":
-            mat = rng.normal(size=(dim, dim))
-            return IntegrandSpec.from_constant(DenseOperator(space, space, mat))
-        return IntegrandSpec.from_matrices(space, space, rng.normal(size=(n_steps, dim, dim)))
+        pick = rng.choice(kinds) if kind == "mixed" else kind
+        if pick == "spectral":
+            eigenvalues = rng.normal(size=dim_h)
+            return IntegrandSpec.from_constant(SpectralOperator(space_u, space_h, eigenvalues))
+        if pick == "dense":
+            mat = rng.normal(size=(dim_h, dim_u))
+            return IntegrandSpec.from_constant(DenseOperator(space_u, space_h, mat))
+        if pick == "time_varying":
+            mats = rng.normal(size=(n_steps, dim_h, dim_u))
+            return IntegrandSpec.from_matrices(space_u, space_h, mats)
+        mat, per_path = rng.normal(size=(dim_h, dim_u)), rng.random() < 0.5
+
+        def gain(i, increments):  # reads the steps before i only
+            level = np.tanh(increments[:, :i, :].sum(axis=(1, 2)))
+            return (1.0 + level)[:, None, None] * mat if per_path else (1.0 + i) * mat
+
+        return IntegrandSpec.from_callback(space_u, space_h, gain)
 
     return FubiniFamily.from_factory(range(n_atoms), rng.uniform(0.0, 1.0, n_atoms), member)
 
 
 @given(
-    dim=st.integers(1, 3),
-    n_steps=st.integers(1, 24),
-    n_paths=st.integers(1, 6),
-    n_atoms=st.integers(1, 6),
-    kind=st.sampled_from(["spectral", "dense", "time_varying"]),
+    dim_u=st.integers(1, 8),
+    dim_h=st.integers(1, 5),
+    n_steps=st.integers(1, 39),
+    n_paths=st.integers(1, 8),
+    n_atoms=st.integers(1, 11),
+    kind=st.sampled_from(KINDS + ["mixed"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=150, deadline=None)
-def test_both_orders_match_one_loop_per_side_oracle(dim, n_steps, n_paths, n_atoms, kind, seed):
+# P = 1 with dim_H = 1 and 8 or more atoms: np.add.reduce over the atoms would sum pairwise
+@example(dim_u=5, dim_h=1, n_steps=3, n_paths=1, n_atoms=8, kind="mixed", seed=1)
+@example(dim_u=1, dim_h=1, n_steps=17, n_paths=1, n_atoms=11, kind="time_varying", seed=2)
+# a dense constant onto dim_H = 1 (BLAS gemv) among other kinds, several atom groups
+@example(dim_u=3, dim_h=1, n_steps=4, n_paths=6, n_atoms=11, kind="mixed", seed=3)
+@example(dim_u=8, dim_h=1, n_steps=17, n_paths=2, n_atoms=2, kind="dense", seed=1638591437)
+# step blocks of 1, 2 and many steps
+@example(dim_u=2, dim_h=3, n_steps=7, n_paths=8, n_atoms=11, kind="mixed", seed=5)
+@example(dim_u=3, dim_h=2, n_steps=22, n_paths=3, n_atoms=11, kind="mixed", seed=6)
+@example(dim_u=2, dim_h=2, n_steps=39, n_paths=7, n_atoms=2, kind="mixed", seed=7)
+@settings(max_examples=200, deadline=None)
+def test_both_orders_match_one_loop_per_side_oracle(
+    dim_u, dim_h, n_steps, n_paths, n_atoms, kind, seed
+):
+    if kind == "spectral" and dim_u != dim_h:
+        kind = "dense"
     rng = np.random.default_rng(seed)
-    family = _random_family(rng, dim, n_steps, n_atoms, kind)
-    noise = _noise(dim=dim, n_steps=n_steps, n_paths=n_paths, seed=seed)
+    family = _random_family(rng, dim_u, dim_h, n_steps, n_atoms, kind)
+    noise = _noise(dim=dim_u, n_steps=n_steps, n_paths=n_paths, seed=seed)
     first, last = _mix_first_oracle(family, noise), _mix_last_oracle(family, noise)
     assert np.array_equal(integrate_then_ito(family, noise).values, first)
     assert np.array_equal(ito_then_integrate(family, noise).values, last)
