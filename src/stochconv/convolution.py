@@ -21,11 +21,13 @@ where S(j dt) is decided (exp(-rate j dt) for a diagonal semigroup, the j-th
 power of S(dt) for a dense one, matching the prefix recursion of the direct
 pipeline, whose step S(dt) is ``semigroup_eval`` at dt, the table's row 1).
 
-The direct pipeline walks the time axis in ``ito.product_blocks`` step
-blocks: ``ito.fill_products`` writes a block's products Phi_k dW_k into a
-time-major buffer, the recursion reads its contiguous rows, and one transposing
-copy per block writes the nodes.  No array of all the products exists, but
-for the one exception that ``product_blocks`` names.
+The direct pipeline walks the time axis in step blocks: ``direct_recursion``
+asks for a block's products Phi_k dW_k in a time-major buffer and turns its
+contiguous rows into nodes in place.  ``direct_convolution`` fills the products
+with ``ito.fill_products`` over ``ito.product_blocks`` and copies each block's
+nodes out once, so no array of all the products exists, but for the one
+exception that ``product_blocks`` names.  The variance experiments drive the
+same generator on noise drawn block by block (``noise.increment_rows``).
 
 The kernel and smoothing stages share one causal lag-convolution engine,
 ``_lag_convolve``: a zero-padded real FFT along the time axis with the kernel
@@ -231,18 +233,40 @@ def _lag_convolve(
     return values
 
 
+def direct_recursion(step, n_paths: int, dim_h: int, blocks, fill):
+    """Run X_{k+1} = S(dt) (X_k + Phi_k dW_k) from X_0 = 0 over step blocks.
+
+    ``step`` is S(dt) and ``blocks`` the (start, stop) step ranges in order.
+    ``fill(start, stop, out)`` writes the products Phi_k dW_k of the steps
+    start <= k < stop into ``out``, a time-major (stop - start, paths, dim_H)
+    buffer.  Yields ``(start, stop, rows)`` with rows[j] = X_{start+j+1}; the
+    buffer is reused by the next block, so read it before asking for that one.
+    Each row is updated in place, one ``apply_operator`` on contiguous
+    (paths, dim_H) rows per step.
+    """
+    rows = np.empty((blocks[0][1] - blocks[0][0], n_paths, dim_h))
+    state = np.zeros((n_paths, dim_h))  # X at the block's first node
+    for start, stop in blocks:
+        n = stop - start
+        fill(start, stop, rows[:n])
+        for j in range(n):  # row j: Phi_k dW_k, then X_k + Phi_k dW_k, then X_{k+1}
+            np.add(state, rows[j], out=rows[j])
+            state = apply_operator(step, rows[j], out=rows[j])
+        yield start, stop, rows[:n]
+        state = rows[n - 1].copy()
+
+
 def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
     """Euler-Ito stochastic convolution evaluated at every grid node.
 
     Node t_k carries sum_{i<k} S(t_k - t_i) Phi_{t_i} dW_i, computed by the
-    exact one-step recursion X_{k+1} = S(dt) (X_k + Phi_k dW_k).  The time axis
-    is walked in ``ito.product_blocks`` step blocks: each block fills its
-    products Phi_k dW_k into a time-major (steps, paths, dim) buffer, the
-    recursion turns its contiguous (paths, dim) rows into nodes in place, and
-    one transposing copy writes the block's nodes, so no array of all the
-    products exists (``ito.product_blocks`` names the one exception).  The
-    bytes are those of the products-first recursion (``integrand_products``,
-    then one ``apply_operator`` per step).
+    exact one-step recursion X_{k+1} = S(dt) (X_k + Phi_k dW_k) of
+    ``direct_recursion``.  Its step blocks are those of ``ito.product_blocks``,
+    ``ito.fill_products`` writes their products, and one transposing copy per
+    block writes the block's nodes, so no array of all the products exists
+    (``ito.product_blocks`` names the one exception).  The bytes are those of
+    the products-first recursion (``integrand_products``, then one
+    ``apply_operator`` per step).
 
     Returns:
       ``PathEnsemble`` with zero value at t_0.
@@ -250,18 +274,15 @@ def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
     phi, inc = req.phi, req.noise.increments
     n_paths, n_steps, _ = inc.shape
     dim_h = phi.codomain.dim
-    blocks = product_blocks(phi, n_paths, n_steps)
     step = semigroup_eval(req.semigroup, req.noise.grid.dt)
     values = np.zeros((n_paths, n_steps + 1, dim_h))
-    rows = np.empty((blocks[0][1] - blocks[0][0], n_paths, dim_h))
-    for start, stop in blocks:
-        n = stop - start
-        fill_products(phi, inc, start, stop, rows[:n].swapaxes(0, 1))
-        state = values[:, start]  # X at the block's first node, zero at t_0
-        for j in range(n):  # row j: Phi_k dW_k, then X_k + Phi_k dW_k, then X_{k+1}
-            np.add(state, rows[j], out=rows[j])
-            state = apply_operator(step, rows[j], out=rows[j])
-        values[:, start + 1 : stop + 1] = rows[:n].swapaxes(0, 1)
+
+    def fill(start, stop, out):
+        fill_products(phi, inc, start, stop, out.swapaxes(0, 1))
+
+    blocks = product_blocks(phi, n_paths, n_steps)
+    for start, stop, rows in direct_recursion(step, n_paths, dim_h, blocks, fill):
+        values[:, start + 1 : stop + 1] = rows.swapaxes(0, 1)
     return PathEnsemble(values, req.noise.grid)
 
 

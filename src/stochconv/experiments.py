@@ -17,14 +17,15 @@ import numpy as np
 
 from . import convolution as conv
 from . import measures
+from ._parallel import path_blocks
 from .config import (
     ScenarioConfig, _is_finite, _number, _numbers, _positive_int, _positive_ints, _require,
 )
 from .errors import ConfigError
 from .fubini import FubiniFamily, fubini_report
-from .hilbert import SpectralOperator
+from .hilbert import SpectralOperator, apply_operator, semigroup_eval
 from .ito import export_paths_csv, path_sup_norms
-from .noise import coarsen_increments, sample_increments
+from .noise import coarsen_increments, increment_rows, sample_increments
 from .norms import (
     estimate_lpq,
     estimate_lpqr,
@@ -112,12 +113,33 @@ def _ou_variance(rate: float, q: float, f: float, t):
 
 
 def _variance_check(cfg: ScenarioConfig):
+    """Sample variances of X(T) per mode against the OU closed form, and the mode-0 curve.
+
+    The direct recursion runs on noise drawn one step block at a time
+    (``increment_rows``), max(1, BLOCK_ELEMENTS // (P d)) steps a block, so
+    neither the increments nor the (P, N + 1, d) values exist: the run keeps
+    X(T) and one path-major (P, N + 1) array of mode 0.  The bytes are those of
+    ``sample_increments``, ``direct_convolution`` and ``np.var`` over the full
+    values.  ``n_paths`` < 2 is refused before any noise is drawn.
+    """
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
     if cfg.n_paths < 2:  # before any noise is sampled
         raise ConfigError(f"key 'n_paths' in config must be >= 2 for a variance, got {cfg.n_paths}")
-    noise = _sample_noise(cfg)
-    ensemble = conv.direct_convolution(_request(cfg, noise))
-    final = ensemble.values[:, -1, :]
+    n_paths, n_steps, dim = cfg.n_paths, cfg.grid.n_steps, len(rates)
+    phi = cfg.integrand.constant
+
+    def fill(start, stop, out):
+        dw = increment_rows(
+            cfg.noise_spec, cfg.grid, cfg.seed, n_paths, start, stop, workers=cfg.workers
+        )
+        apply_operator(phi, dw, out=out)
+
+    step = semigroup_eval(cfg.semigroup, cfg.grid.dt)
+    blocks = path_blocks(n_steps, n_paths * dim)
+    mode0 = np.zeros((n_paths, n_steps + 1))
+    for start, stop, block in conv.direct_recursion(step, n_paths, dim, blocks, fill):
+        mode0[:, start + 1 : stop + 1] = block[:, :, 0].T
+    final = block[-1]  # X(T), shape (P, d)
     n = final.shape[0]
     estimates = np.var(final, axis=0, ddof=1)
     centered = final - final.mean(axis=0)
@@ -138,7 +160,7 @@ def _variance_check(cfg: ScenarioConfig):
     fields = {"n_paths": n, "dt": cfg.grid.dt, "modes": modes}
     # plot-ready variance-in-time curve for the first mode
     nodes = cfg.grid.nodes
-    emp_curve = np.var(ensemble.values[:, :, 0], axis=0, ddof=1)
+    emp_curve = np.var(mode0, axis=0, ddof=1)
     closed_curve = _ou_variance(rates[0], q_eig[0], phi_eig[0], nodes)
     tables = {
         f"{cfg.experiment}_modes.csv": (header, rows),

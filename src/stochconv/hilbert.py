@@ -27,7 +27,6 @@ __all__ = [
     "semigroup_eval",
     "lag_table",
     "operator_matrix",
-    "identity_operator",
 ]
 
 
@@ -86,10 +85,6 @@ class DenseOperator:
 
 
 Operator = SpectralOperator | DenseOperator
-
-
-def identity_operator(space: HilbertSpec) -> SpectralOperator:
-    return SpectralOperator(space, space, np.ones(space.dim))
 
 
 def operator_matrix(op: Operator) -> np.ndarray:

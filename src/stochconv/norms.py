@@ -17,7 +17,6 @@ Ito-operator battery walks the steps once for all open slices, holding running s
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,16 +61,6 @@ class TwoParameterField:
                 expected=("paths", n_nodes, n_nodes),
                 got=mags.shape,
             )
-
-    @classmethod
-    def from_ensembles(cls, ensembles: Sequence, grid: TimeGrid) -> "TwoParameterField":
-        """Stack one s-indexed path ensemble per t-node into a field."""
-        n_nodes = grid.n_steps + 1
-        if len(ensembles) != n_nodes:
-            raise DimensionMismatchError(
-                "need one ensemble per t-node", expected=n_nodes, got=len(ensembles)
-            )
-        return cls(np.stack([node_magnitudes(e.values) for e in ensembles], axis=2), grid)
 
 
 def _bootstrap_se(per_path_stat, n_paths: int, n_boot: int, seed: int) -> float:

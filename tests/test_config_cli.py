@@ -524,9 +524,10 @@ def test_variance_experiments_refuse_one_path_before_sampling(
     # a sample variance of one path is NaN: it wrote "estimate": NaN into the report
     data = json.loads((CONFIG_DIR / name).read_text())
     data["n_paths"] = 1
-    monkeypatch.setattr(
-        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
-    )
+    for sampler in ("sample_increments", "increment_rows"):  # ensembles and step blocks
+        monkeypatch.setattr(
+            experiments, sampler, lambda *args, **kw: pytest.fail("noise was sampled")
+        )
     out = tmp_path / "out"
     rc = main([data["experiment"], "--config", _write(tmp_path, data), "--out", str(out)])
     assert rc == 1

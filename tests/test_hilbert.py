@@ -24,10 +24,13 @@ from stochconv import (
 from stochconv.config import parse_config
 from stochconv.hilbert import (
     _expm,
-    identity_operator,
     lag_table,
     operator_matrix,
 )
+
+
+def identity_operator(space):
+    return SpectralOperator(space, space, np.ones(space.dim))
 
 
 def _matvec_oracle(rows, v):

