@@ -112,15 +112,31 @@ def _ou_variance(rate: float, q: float, f: float, t):
     return f * f * q * -np.expm1(-2.0 * rate * t) / (2.0 * rate)
 
 
+def _sample_variance_in_place(values: np.ndarray) -> np.ndarray:
+    """``np.var(values, axis=0, ddof=1)`` by the same ufuncs, overwriting ``values``.
+
+    ``np.var`` holds a temporary ``values - mean`` as large as ``values``; here
+    the centered squares are written over ``values``.
+    """
+    n = values.shape[0]
+    mean = np.add.reduce(values, axis=0, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    total = np.add.reduce(values, axis=0)
+    return np.true_divide(total, n - 1, out=total)
+
+
 def _variance_check(cfg: ScenarioConfig):
     """Sample variances of X(T) per mode against the OU closed form, and the mode-0 curve.
 
     The direct recursion runs on noise drawn one step block at a time
     (``increment_rows``), max(1, BLOCK_ELEMENTS // (P d)) steps a block, so
     neither the increments nor the (P, N + 1, d) values exist: the run keeps
-    X(T) and one path-major (P, N + 1) array of mode 0.  The bytes are those of
-    ``sample_increments``, ``direct_convolution`` and ``np.var`` over the full
-    values.  ``n_paths`` < 2 is refused before any noise is drawn.
+    X(T) and one path-major (P, N + 1) array of mode 0, whose variance curve is
+    computed in place.  The bytes are those of ``sample_increments``,
+    ``direct_convolution`` and ``np.var`` over the full values.  ``n_paths`` < 2
+    is refused before any noise is drawn.
     """
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
     if cfg.n_paths < 2:  # before any noise is sampled
@@ -160,7 +176,7 @@ def _variance_check(cfg: ScenarioConfig):
     fields = {"n_paths": n, "dt": cfg.grid.dt, "modes": modes}
     # plot-ready variance-in-time curve for the first mode
     nodes = cfg.grid.nodes
-    emp_curve = np.var(mode0, axis=0, ddof=1)
+    emp_curve = _sample_variance_in_place(mode0)
     closed_curve = _ou_variance(rates[0], q_eig[0], phi_eig[0], nodes)
     tables = {
         f"{cfg.experiment}_modes.csv": (header, rows),
@@ -186,7 +202,9 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
         if not (isinstance(interval, list) and len(interval) == 2
                 and all(_is_finite(v) for v in interval) and interval[0] < interval[1]):
             raise ConfigError(f"key 'interval' in {where} must be two finite numbers lo < hi")
-        lo, hi = interval
+        lo, hi = float(interval[0]), float(interval[1])
+        if not np.isfinite(hi - lo):
+            raise ConfigError(f"key 'interval' in {where} must have a finite width hi - lo")
         h = (hi - lo) / n_atoms
         name = rule.get("rule", "midpoint")
         if name == "midpoint":

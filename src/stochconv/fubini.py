@@ -8,10 +8,12 @@ For a finite weighted family of integrands the two pipelines
 agree up to floating-point reassociation of a finite double sum.  One walk
 over the time steps builds both sides: each (atom, step) product
 w_j * (g_j(t_i) dW_i) is filled once and feeds both reduction orders (atoms
-inner vs. atoms outer), so a single-atom family commutes bitwise.  The atoms
-are reduced left to right on both sides, with the bytes of one
-``integrand_products`` call per atom, and no temporary is larger than one
-atom's products, P * N * dim_H values, whatever the number of atoms.
+inner vs. atoms outer), so a single-atom family commutes bitwise.  Each step
+block of a run of same-kind atoms is filled by one batched product, and each
+side adds the atoms with one ``np.add.reduce``.  The atoms are reduced left to
+right on both sides, with the bytes of one ``integrand_products`` call per
+atom, and no temporary is larger than one atom's products, P * N * dim_H
+values, whatever the number of atoms.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import numpy as np
 
 from .convolution import DiscrepancyReport, compare
 from .errors import DimensionMismatchError, StochConvError, frozen_array
-from .hilbert import apply_operator
+from .hilbert import SpectralOperator
 from .ito import (
-    CONSTANT, IntegrandSpec, PathEnsemble, check_compatible, fill_products, one_call_per_path,
+    CONSTANT, TIME_VARYING, IntegrandSpec, PathEnsemble, check_compatible, fill_products,
+    one_call_per_path, step_matrices,
 )
 from .noise import NoiseEnsemble
 
@@ -98,26 +101,95 @@ def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
     return groups
 
 
-def _fill(phi: IntegrandSpec, inc: np.ndarray, start: int, stop: int, rows: np.ndarray):
-    """Phi_{t_i} dW_i for start <= i < stop into time-major rows (stop - start, paths, dim_H)."""
-    if phi.kind == CONSTANT and min(inc.shape[:2]) >= 2 and not one_call_per_path(phi):
-        # one BLAS product per step over all paths; with one path here, or one step in
-        # the per-path product, a one-row product goes to gemv, which sums in another order
-        apply_operator(phi.constant, inc[:, start:stop].swapaxes(0, 1), out=rows)
+def _run_kind(phi: IntegrandSpec, n_paths: int, n_steps: int) -> str | None:
+    """The kind of atom run that ``_fill_run`` fills with one call, or None for ``fill_products``.
+
+    A dense constant joins a run only where it gets one BLAS gemm per step: at
+    least 2 paths and 2 steps, and not ``one_call_per_path``.  A one-row product
+    goes to gemv, which sums in another order than one ``fill_products`` call.
+    """
+    if phi.kind == TIME_VARYING:
+        return TIME_VARYING
+    if isinstance(phi.constant, SpectralOperator):
+        return "spectral"
+    if phi.kind == CONSTANT and min(n_paths, n_steps) >= 2 and not one_call_per_path(phi):
+        return "dense"
+    return None
+
+
+def _atom_runs(phis: tuple, inc: np.ndarray, size: int) -> list[tuple]:
+    """Maximal ranges (start, stop, kind, operand) of consecutive atoms of one ``_run_kind``.
+
+    The operand holds a run's stacked eigenvalues or (transposed) entries, or,
+    for time-varying atoms, their step matrices and a (size, atoms, dim_H,
+    dim_U) buffer for one step block of them.
+    """
+    n_paths, n_steps, _ = inc.shape
+    kinds = [_run_kind(phi, n_paths, n_steps) for phi in phis]
+    runs, start = [], 0
+    for stop in range(1, len(phis) + 1):
+        if stop < len(phis) and kinds[stop] == kinds[start]:
+            continue
+        run, kind = phis[start:stop], kinds[start]
+        if kind == TIME_VARYING:
+            mats = [step_matrices(phi, n_steps) for phi in run]
+            operand = mats, np.empty((size, len(run)) + mats[0].shape[1:])
+        elif kind == "spectral":
+            operand = np.stack([phi.constant.eigenvalues for phi in run])[:, None]
+        elif kind == "dense":
+            operand = np.stack([phi.constant.entries for phi in run]).swapaxes(1, 2)
+        else:
+            operand = None
+        runs.append((start, stop, kind, operand))
+        start = stop
+    return runs
+
+
+def _fill_run(
+    phis: tuple, kind: str | None, operand, inc: np.ndarray, start: int, stop: int,
+    rows: np.ndarray,
+):
+    """Phi_{t_i} dW_i of a run of atoms, start <= i < stop, into rows (steps, atoms, paths, dim_H).
+
+    One products call fills the run: each (step, atom) product is the gemm,
+    gemv or elementwise product that one ``fill_products`` call over all steps
+    makes for that atom, so the bytes are the same.  Atoms of kind None go
+    through ``fill_products`` one by one.
+    """
+    if kind is None:
+        for j, phi in enumerate(phis):
+            fill_products(phi, inc, start, stop, rows[:, j].swapaxes(0, 1))
+        return
+    steps = inc[:, start:stop].swapaxes(0, 1)[:, None]  # (steps, 1, paths, dim_U)
+    if kind != TIME_VARYING:
+        product = np.multiply if kind == "spectral" else np.matmul
+        product(steps, operand, out=rows)
+        return
+    mats, buffer = operand
+    stacked = np.stack([m[start:stop] for m in mats], axis=1, out=buffer[: stop - start])
+    if stacked.shape[3] == 1:
+        # as in ``step_products``: an outer product into a zeroed output
+        np.einsum("igh,pi->igph", stacked[..., 0], inc[:, start:stop, 0], out=rows)
     else:
-        fill_products(phi, inc, start, stop, rows.swapaxes(0, 1))
+        np.matmul(steps, stacked.swapaxes(2, 3), out=rows)
 
 
 def _add_atoms(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray, onto_out: bool):
     """out (paths, n, dim_H) = [out +] rows[:, 0] + rows[:, 1] + ..., left to right.
 
     ``rows`` is a time-major block (n, atoms, paths, dim_H) and ``nodes`` an
-    (n, paths, dim_H) scratch.  Not ``np.add.reduce`` over the atom axis: it
-    sums pairwise when a step holds one value (P * dim_H == 1).
+    (n, paths, dim_H) scratch.  One ``np.add.reduce`` over the atom axis adds
+    the atoms left to right at every value; it starts from -0.0, so that atoms
+    that are all -0.0 sum to -0.0.  It is not used when a step holds one value
+    (P * dim_H == 1), where numpy sums pairwise, nor onto earlier groups' sums,
+    which must stay the first term.
     """
-    np.copyto(nodes, out.swapaxes(0, 1) if onto_out else rows[:, 0])
-    for j in range(0 if onto_out else 1, rows.shape[1]):
-        nodes += rows[:, j]
+    if onto_out or rows.shape[2] * rows.shape[3] == 1:
+        np.copyto(nodes, out.swapaxes(0, 1) if onto_out else rows[:, 0])
+        for j in range(0 if onto_out else 1, rows.shape[1]):
+            nodes += rows[:, j]
+    else:
+        np.add.reduce(rows, axis=1, out=nodes, initial=-0.0)
     out[:] = nodes.swapaxes(0, 1)
 
 
@@ -129,19 +201,21 @@ def _walk_steps(
 
     The steps go in blocks of max(1, N // g) for g atoms, so the time-major block
     (steps, g, paths, dim_H) and the atoms' running prefix sums (g, paths, dim_H)
-    hold at most P * N * dim_H values each.  With ``onto`` both sides add onto
-    what earlier atoms left there.
+    hold at most P * N * dim_H values each.  Each block takes one ``_fill_run``
+    call per run of atoms.  With ``onto`` both sides add onto what earlier atoms
+    left there.
     """
     n_paths, n_steps, _ = inc.shape
     size = max(1, n_steps // len(phis))
+    runs = _atom_runs(phis, inc, size)
     block = np.empty((size, len(phis), n_paths, first.shape[2]))
     nodes = np.empty((size, n_paths, first.shape[2]))
     state = np.empty(block.shape[1:])  # each atom's sum over the steps so far
     for start in range(0, n_steps, size):
         stop = min(start + size, n_steps)
         rows = block[: stop - start]
-        for j, phi in enumerate(phis):
-            _fill(phi, inc, start, stop, rows[:, j])
+        for a, b, kind, operand in runs:
+            _fill_run(phis[a:b], kind, operand, inc, start, stop, rows[:, a:b])
         rows *= weights[:, None, None]
         _add_atoms(rows, nodes[: stop - start], first[:, start + 1 : stop + 1], onto)
         if start:

@@ -41,6 +41,13 @@ TIME_VARYING = "time_varying"
 ADAPTED = "adapted"
 
 
+class _Fresh(np.ndarray):
+    """Node matrices that an ``IntegrandSpec`` builder has just made and nobody else holds.
+
+    ``IntegrandSpec`` freezes them without a copy; any other array it copies.
+    """
+
+
 @dataclass(frozen=True)
 class IntegrandSpec:
     """Rule producing the operator value Phi_{t_i} for every (path, node).
@@ -65,7 +72,8 @@ class IntegrandSpec:
         if self.kind not in (CONSTANT, TIME_VARYING, ADAPTED):
             raise StochConvError(f"unknown integrand kind {self.kind!r}")
         if self.kind == TIME_VARYING:
-            mats = frozen_array(self.node_matrices, "node matrices")
+            fresh = isinstance(self.node_matrices, _Fresh)
+            mats = frozen_array(self.node_matrices, "node matrices", copy=not fresh)
             object.__setattr__(self, "node_matrices", mats)
             if mats.ndim != 3 or mats.shape[1:] != (self.codomain.dim, self.domain.dim):
                 raise DimensionMismatchError(
@@ -80,7 +88,7 @@ class IntegrandSpec:
 
     @classmethod
     def from_operators(cls, ops: Sequence[Operator]) -> "IntegrandSpec":
-        mats = np.stack([operator_matrix(op) for op in ops])
+        mats = np.stack([operator_matrix(op) for op in ops]).view(_Fresh)
         return cls(ops[0].domain, ops[0].codomain, TIME_VARYING, node_matrices=mats)
 
     @classmethod
@@ -100,9 +108,8 @@ class IntegrandSpec:
         if self.kind == CONSTANT:
             return IntegrandSpec.from_constant(_scaled_operator(self.constant, factor))
         if self.kind == TIME_VARYING:
-            return IntegrandSpec.from_matrices(
-                self.domain, self.codomain, factor * self.node_matrices
-            )
+            mats = (factor * self.node_matrices).view(_Fresh)
+            return IntegrandSpec(self.domain, self.codomain, TIME_VARYING, node_matrices=mats)
         cb = self.callback
         return IntegrandSpec.from_callback(
             self.domain, self.codomain, lambda i, past: factor * np.asarray(cb(i, past))

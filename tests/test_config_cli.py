@@ -478,6 +478,18 @@ def test_cli_bad_experiment_option_exits_one(tmp_path, capsys, experiment, optio
     assert repr(key) in capsys.readouterr().err
 
 
+def test_fubini_refuses_a_quadrature_interval_of_overflowing_width(tmp_path, monkeypatch, capsys):
+    # each end is finite, but hi - lo is inf: the scaled integrands failed as "must be finite"
+    data = _with_options(
+        "fubini", {"family": {"quadrature": {"n": 4, "interval": [-1.7e308, 1.7e308]}}}
+    )
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    assert main(["fubini", "--config", _write(tmp_path, data), "--out", str(tmp_path)]) == 1
+    assert "'interval'" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "betas", [[], [1.5], [0.3, 0.0], [1.0]], ids=["empty", "above", "zero", "one"]
 )

@@ -134,3 +134,33 @@ def test_building_a_path_ensemble_allocates_no_mask():
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes // 100
+
+
+def test_node_matrices_are_copied_from_the_caller_once_and_not_again():
+    # from_matrices and direct construction copy the caller's array: a later write to it
+    # does not show through
+    mats = np.ones((3, 2, 2))
+    specs = [
+        IntegrandSpec.from_matrices(S2, S2, mats),
+        IntegrandSpec(S2, S2, "time_varying", node_matrices=mats),
+    ]
+    mats[0, 0, 0] = 5.0
+    for spec in specs:
+        assert not np.shares_memory(spec.node_matrices, mats)
+        assert spec.node_matrices[0, 0, 0] == 1.0 and not spec.node_matrices.flags.writeable
+    # from_operators and scaled freeze the array they have just built, with no second copy
+    space = HilbertSpec(8)
+    values = np.random.default_rng(3).normal(size=(501, 8, 8))  # 256 kB
+    base = IntegrandSpec.from_matrices(space, space, values)
+    ops = [DenseOperator(space, space, m) for m in values]
+    for build in (lambda: base.scaled(0.5), lambda: IntegrandSpec.from_operators(ops)):
+        tracemalloc.start()
+        try:
+            spec = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * values.nbytes
+        assert not spec.node_matrices.flags.writeable
+    assert np.array_equal(base.scaled(0.5).node_matrices, 0.5 * values)
+    assert np.array_equal(IntegrandSpec.from_operators(ops).node_matrices, values)

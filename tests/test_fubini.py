@@ -27,7 +27,8 @@ from stochconv import fubini
 from stochconv.config import parse_config
 from stochconv.convolution import compare
 from stochconv.experiments import run_experiment
-from stochconv.ito import integrand_products
+from stochconv.hilbert import apply_operator
+from stochconv.ito import CONSTANT, fill_products, integrand_products, one_call_per_path
 
 from conftest import relative_gap
 
@@ -196,13 +197,13 @@ def test_family_validation():
 def test_each_atom_step_product_is_filled_once(tmp_path, monkeypatch):
     # one walk over the steps builds both sides: A * N (atom, step) products in all
     filled = []
-    original = fubini._fill
+    original = fubini._fill_run
 
-    def counting(phi, inc, start, stop, rows):
-        filled.extend((id(phi), i) for i in range(start, stop))
-        return original(phi, inc, start, stop, rows)
+    def counting(phis, kind, operand, inc, start, stop, rows):
+        filled.extend((id(phi), i) for phi in phis for i in range(start, stop))
+        return original(phis, kind, operand, inc, start, stop, rows)
 
-    monkeypatch.setattr(fubini, "_fill", counting)
+    monkeypatch.setattr(fubini, "_fill_run", counting)
     data = json.loads((CONFIG_DIR / "fubini_midpoint.json").read_text())
     data["n_paths"] = 3
     cfg = parse_config(data)
@@ -332,3 +333,129 @@ def test_both_orders_match_one_loop_per_side_oracle(
     grid = noise.grid
     oracle = compare(PathEnsemble(first, grid), PathEnsemble(last, grid))
     assert fubini_report(family, noise).sup_abs == oracle.sup_abs
+
+
+# ----------------------------- oracle: one fill and one += per atom and step block
+
+
+def _random_member(rng, space_u, space_h, n_steps, kind, zeros):
+    """One integrand of the given kind; with ``zeros`` about half its entries are 0."""
+    dim_u, dim_h = space_u.dim, space_h.dim
+
+    def normal(shape):
+        values = rng.normal(size=shape)
+        return values * (rng.random(shape) < 0.5) if zeros else values
+
+    if kind == "spectral":
+        return IntegrandSpec.from_constant(SpectralOperator(space_u, space_h, normal(dim_h)))
+    if kind == "dense":
+        return IntegrandSpec.from_constant(DenseOperator(space_u, space_h, normal((dim_h, dim_u))))
+    if kind == "time_varying":
+        return IntegrandSpec.from_matrices(space_u, space_h, normal((n_steps, dim_h, dim_u)))
+    mat, per_path = normal((dim_h, dim_u)), rng.random() < 0.5
+
+    def gain(i, increments):  # reads the steps before i only
+        level = np.tanh(increments[:, :i, :].sum(axis=(1, 2)))
+        return (1.0 + level)[:, None, None] * mat if per_path else (1.0 + i) * mat
+
+    return IntegrandSpec.from_callback(space_u, space_h, gain)
+
+
+def _fill_one_atom(phi, inc, start, stop, rows):
+    """Phi_{t_i} dW_i for start <= i < stop into time-major rows (stop - start, paths, dim_H)."""
+    if phi.kind == CONSTANT and min(inc.shape[:2]) >= 2 and not one_call_per_path(phi):
+        # one BLAS product per step over all paths; with one path here, or one step in
+        # the per-path product, a one-row product goes to gemv, which sums in another order
+        apply_operator(phi.constant, inc[:, start:stop].swapaxes(0, 1), out=rows)
+    else:
+        fill_products(phi, inc, start, stop, rows.swapaxes(0, 1))
+
+
+def _add_atom_by_atom(rows, nodes, out, onto):
+    """out (paths, n, dim_H) = [out +] rows[:, 0] + rows[:, 1] + ..., one += per atom."""
+    np.copyto(nodes, out.swapaxes(0, 1) if onto else rows[:, 0])
+    for j in range(0 if onto else 1, rows.shape[1]):
+        nodes += rows[:, j]
+    out[:] = nodes.swapaxes(0, 1)
+
+
+def _per_atom_both_orders(family, noise):
+    """Both sides of the step walk with one fill per (atom, step block), the atoms added by +=."""
+    phis, weights, inc = family.integrands, family.weights, noise.increments
+    n_paths, n_steps, _ = inc.shape
+    first = np.zeros((n_paths, n_steps + 1, phis[0].codomain.dim))
+    last = np.zeros_like(first)
+    for a0, a1 in fubini._atom_groups(family, n_steps):
+        group, scale = phis[a0:a1], weights[a0:a1, None, None]
+        size = max(1, n_steps // len(group))
+        block = np.empty((size, len(group), n_paths, first.shape[2]))
+        nodes = np.empty((size, n_paths, first.shape[2]))
+        state = np.empty(block.shape[1:])
+        for start in range(0, n_steps, size):
+            stop = min(start + size, n_steps)
+            rows, sums = block[: stop - start], nodes[: stop - start]
+            for j, phi in enumerate(group):
+                _fill_one_atom(phi, inc, start, stop, rows[:, j])
+            rows *= scale
+            _add_atom_by_atom(rows, sums, first[:, start + 1 : stop + 1], a0 > 0)
+            if start:
+                rows[0] += state
+            for i in range(1, stop - start):
+                rows[i] += rows[i - 1]
+            state[:] = rows[-1]
+            _add_atom_by_atom(rows, sums, last[:, start + 1 : stop + 1], a0 > 0)
+    np.cumsum(first[:, 1:], axis=1, out=first[:, 1:])
+    return first, last
+
+
+@given(
+    dim_u=st.integers(1, 8),
+    dim_h=st.integers(1, 5),
+    n_steps=st.integers(1, 30),
+    n_paths=st.integers(1, 6),
+    runs=st.lists(
+        st.tuples(st.sampled_from(KINDS), st.integers(1, 12)), min_size=1, max_size=4
+    ),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# P * dim_H == 1: the atoms are added one by one (np.add.reduce sums 8 or more pairwise)
+@example(dim_u=3, dim_h=1, n_steps=20, n_paths=1, runs=[("time_varying", 12)], zeros=True, seed=1)
+@example(dim_u=1, dim_h=1, n_steps=9, n_paths=1, runs=[("spectral", 12)], zeros=True, seed=2)
+# two values per step and many atoms: one reduce, left to right
+@example(dim_u=1, dim_h=1, n_steps=25, n_paths=2, runs=[("spectral", 12), ("time_varying", 12)],
+         zeros=True, seed=3)
+@example(dim_u=4, dim_h=2, n_steps=25, n_paths=1, runs=[("dense", 12), ("time_varying", 12)],
+         zeros=False, seed=4)
+# more atoms than steps: later groups add onto the earlier groups' sums
+@example(dim_u=2, dim_h=3, n_steps=3, n_paths=4, runs=[("dense", 7), ("time_varying", 6)],
+         zeros=True, seed=5)
+# the gemv atom (a dense constant onto dim_H = 1 at dim_U = 8) between runs
+@example(dim_u=8, dim_h=1, n_steps=17, n_paths=3,
+         runs=[("time_varying", 3), ("dense", 1), ("time_varying", 3)], zeros=False, seed=6)
+# one step or one path: a dense constant is filled on its own
+@example(dim_u=3, dim_h=2, n_steps=1, n_paths=5, runs=[("dense", 4)], zeros=False, seed=7)
+@example(dim_u=3, dim_h=2, n_steps=8, n_paths=1, runs=[("dense", 4), ("adapted", 2)],
+         zeros=True, seed=8)
+@settings(max_examples=300, deadline=None)
+def test_batched_fill_is_bitwise_the_per_atom_fill(
+    dim_u, dim_h, n_steps, n_paths, runs, zeros, seed
+):
+    rng = np.random.default_rng(seed)
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
+    kinds = [
+        "dense" if kind == "spectral" and dim_u != dim_h else kind
+        for kind, length in runs for _ in range(length)
+    ]
+    weights = rng.uniform(0.0, 1.0, len(kinds))
+    if zeros:
+        weights[rng.random(len(kinds)) < 0.3] = 0.0
+    family = FubiniFamily.from_factory(
+        kinds, weights, lambda kind: _random_member(rng, space_u, space_h, n_steps, kind, zeros)
+    )
+    noise = _noise(dim=dim_u, n_steps=n_steps, n_paths=n_paths, seed=seed)
+    first, last = _per_atom_both_orders(family, noise)
+    lhs, rhs = fubini._both_orders(family, noise)
+    # bytes, not ==: a -0.0 must stay -0.0
+    assert lhs.values.tobytes() == first.tobytes()
+    assert rhs.values.tobytes() == last.tobytes()

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -139,4 +140,39 @@ def test_lag_table_is_read_by_the_lag_engine_and_the_singular_slices_only():
     assert sorted(_call_sites("lag_table")) == [
         "convolution.py:_lag_convolve",
         "norms.py:_slice_terms",
+    ]
+
+
+def test_fubini_tv_fills_each_step_block_with_one_products_call(monkeypatch):
+    # 64 time-varying atoms over N = 500 steps: blocks of 500 // 64 = 7 steps, each filled
+    # for all 64 atoms by one products call, not by one call per (atom, step block)
+    from stochconv import experiments, fubini
+    from stochconv.config import parse_config
+
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    data = workloads.WORKLOADS["fubini-tv"].config(0)
+    data["n_paths"] = 2
+    cfg = parse_config(data)
+    family, noise = experiments._build_family(cfg), experiments._sample_noise(cfg)
+    calls, original = [], fubini._fill_run
+
+    def counting(phis, kind, operand, inc, start, stop, rows):
+        calls.append((len(phis), kind, start, stop))
+        return original(phis, kind, operand, inc, start, stop, rows)
+
+    def alone(*args):
+        raise AssertionError("an atom was filled on its own")
+
+    monkeypatch.setattr(fubini, "_fill_run", counting)
+    monkeypatch.setattr(fubini, "fill_products", alone)
+    fubini._both_orders(family, noise)
+    n_steps, size = 500, 500 // 64
+    assert (family.n_atoms, cfg.grid.n_steps) == (64, n_steps)
+    assert calls == [
+        (64, "time_varying", start, min(start + size, n_steps)) for start in range(0, n_steps, size)
     ]

@@ -6,8 +6,9 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stochconv import _parallel, experiments
 from stochconv import convolution as conv
@@ -136,3 +137,36 @@ def test_variance_check_holds_no_values_array_at_workload_size():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * n_paths * n_nodes * 8
+
+
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(2, 40), st.integers(1, 12)),
+        elements=st.one_of(st.floats(-1e6, 1e6), st.just(0.0), st.just(-0.0)),
+    )
+)
+@example(values=np.full((9, 3), -0.0))
+@example(values=np.array([[1e150, -1e-300], [-1e150, 1e-300]]))
+@settings(max_examples=300, deadline=None)
+def test_in_place_sample_variance_is_bitwise_np_var(values):
+    expected = np.var(values, axis=0, ddof=1)
+    got = experiments._sample_variance_in_place(values.copy())
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_variance_check_holds_one_mode0_array_at_workload_size():
+    # the heat-spde workload: one (P, N + 1) mode-0 array (12.8 MB), its variance curve
+    # computed in place, and a step block with the sampler's temporaries (about 4 MB);
+    # np.var's copy of the mode-0 array made the peak 2.1 times that array
+    data = json.loads((CONFIG_DIR / "heat_spde.json").read_text())
+    data["n_paths"] = 500
+    cfg = parse_config(data)
+    mode0_bytes = cfg.n_paths * (cfg.grid.n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        experiments._variance_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mode0_bytes
