@@ -9,11 +9,12 @@ agree up to floating-point reassociation of a finite double sum.  One walk
 over the time steps builds both sides: each (atom, step) product
 w_j * (g_j(t_i) dW_i) is filled once and feeds both reduction orders (atoms
 inner vs. atoms outer), so a single-atom family commutes bitwise.  Each step
-block of a run of same-kind atoms is filled by one batched product, and each
-side adds the atoms with one ``np.add.reduce``.  The atoms are reduced left to
-right on both sides, with the bytes of one ``integrand_products`` call per
-atom, and no temporary is larger than one atom's products, P * N * dim_H
-values, whatever the number of atoms.
+block of a run of time-varying or dense constant atoms is filled by one
+batched product, and each side adds the atoms with one ``np.add.reduce``.  The
+atoms are reduced left to right on both sides, with the bytes of one
+``integrand_products`` call per atom, and no temporary holds more than
+max(P, dim_U) * N * dim_H values, whatever the number of atoms: one atom's
+products, or the matrices of at most N atoms.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from .convolution import DiscrepancyReport, compare
 from .errors import DimensionMismatchError, StochConvError, frozen_array
-from .hilbert import SpectralOperator
+from .hilbert import DenseOperator
 from .ito import (
-    CONSTANT, TIME_VARYING, IntegrandSpec, PathEnsemble, check_compatible, fill_products,
+    TIME_VARYING, IntegrandSpec, PathEnsemble, check_compatible, fill_products,
     one_call_per_path, step_matrices,
 )
 from .noise import NoiseEnsemble
@@ -104,15 +105,15 @@ def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
 def _run_kind(phi: IntegrandSpec, n_paths: int, n_steps: int) -> str | None:
     """The kind of atom run that ``_fill_run`` fills with one call, or None for ``fill_products``.
 
-    A dense constant joins a run only where it gets one BLAS gemm per step: at
-    least 2 paths and 2 steps, and not ``one_call_per_path``.  A one-row product
-    goes to gemv, which sums in another order than one ``fill_products`` call.
+    Spectral constants and adapted atoms go through ``fill_products``.  A dense
+    constant joins a run only where it gets one BLAS gemm per step: at least 2
+    paths and 2 steps, and not ``one_call_per_path``.  A one-row product goes to
+    gemv, which sums in another order than one ``fill_products`` call.
     """
     if phi.kind == TIME_VARYING:
         return TIME_VARYING
-    if isinstance(phi.constant, SpectralOperator):
-        return "spectral"
-    if phi.kind == CONSTANT and min(n_paths, n_steps) >= 2 and not one_call_per_path(phi):
+    dense = isinstance(phi.constant, DenseOperator)
+    if dense and min(n_paths, n_steps) >= 2 and not one_call_per_path(phi):
         return "dense"
     return None
 
@@ -120,9 +121,9 @@ def _run_kind(phi: IntegrandSpec, n_paths: int, n_steps: int) -> str | None:
 def _atom_runs(phis: tuple, inc: np.ndarray, size: int) -> list[tuple]:
     """Maximal ranges (start, stop, kind, operand) of consecutive atoms of one ``_run_kind``.
 
-    The operand holds a run's stacked eigenvalues or (transposed) entries, or,
-    for time-varying atoms, their step matrices and a (size, atoms, dim_H,
-    dim_U) buffer for one step block of them.
+    The operand holds a dense run's stacked (transposed) entries, or, for
+    time-varying atoms, their step matrices and a (size, atoms, dim_H, dim_U)
+    buffer for one step block of them.
     """
     n_paths, n_steps, _ = inc.shape
     kinds = [_run_kind(phi, n_paths, n_steps) for phi in phis]
@@ -134,8 +135,6 @@ def _atom_runs(phis: tuple, inc: np.ndarray, size: int) -> list[tuple]:
         if kind == TIME_VARYING:
             mats = [step_matrices(phi, n_steps) for phi in run]
             operand = mats, np.empty((size, len(run)) + mats[0].shape[1:])
-        elif kind == "spectral":
-            operand = np.stack([phi.constant.eigenvalues for phi in run])[:, None]
         elif kind == "dense":
             operand = np.stack([phi.constant.entries for phi in run]).swapaxes(1, 2)
         else:
@@ -151,19 +150,18 @@ def _fill_run(
 ):
     """Phi_{t_i} dW_i of a run of atoms, start <= i < stop, into rows (steps, atoms, paths, dim_H).
 
-    One products call fills the run: each (step, atom) product is the gemm,
-    gemv or elementwise product that one ``fill_products`` call over all steps
-    makes for that atom, so the bytes are the same.  Atoms of kind None go
-    through ``fill_products`` one by one.
+    One products call fills the run: each (step, atom) product is the gemm or
+    outer product that one ``fill_products`` call over all steps makes for that
+    atom, so the bytes are the same.  Atoms of kind None go through
+    ``fill_products`` one by one.
     """
     if kind is None:
         for j, phi in enumerate(phis):
             fill_products(phi, inc, start, stop, rows[:, j].swapaxes(0, 1))
         return
     steps = inc[:, start:stop].swapaxes(0, 1)[:, None]  # (steps, 1, paths, dim_U)
-    if kind != TIME_VARYING:
-        product = np.multiply if kind == "spectral" else np.matmul
-        product(steps, operand, out=rows)
+    if kind == "dense":
+        np.matmul(steps, operand, out=rows)
         return
     mats, buffer = operand
     stacked = np.stack([m[start:stop] for m in mats], axis=1, out=buffer[: stop - start])
@@ -201,9 +199,10 @@ def _walk_steps(
 
     The steps go in blocks of max(1, N // g) for g atoms, so the time-major block
     (steps, g, paths, dim_H) and the atoms' running prefix sums (g, paths, dim_H)
-    hold at most P * N * dim_H values each.  Each block takes one ``_fill_run``
-    call per run of atoms.  With ``onto`` both sides add onto what earlier atoms
-    left there.
+    hold at most P * N * dim_H values each, and a run's stacked matrices, dense
+    or for one block of time-varying atoms, at most dim_U * N * dim_H.  Each
+    block takes one ``_fill_run`` call per run of atoms.  With ``onto`` both
+    sides add onto what earlier atoms left there.
     """
     n_paths, n_steps, _ = inc.shape
     size = max(1, n_steps // len(phis))

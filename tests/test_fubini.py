@@ -241,6 +241,31 @@ def test_both_orders_memory_does_not_grow_with_the_atoms():
     assert peak <= 6 * n_paths * (n_steps + 1) * dim * 8
 
 
+def test_both_orders_memory_with_more_noise_modes_than_paths():
+    # a run's stacked matrices, dense or one block of time-varying atoms, hold up to
+    # dim_U * N * dim_H values: the bound is max(P, dim_U) * N * dim_H, at 4N atoms
+    n_paths, n_steps, dim_u, dim_h = 2, 40, 16, 4
+    noise = _noise(dim=dim_u, n_steps=n_steps, n_paths=n_paths, seed=9)
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
+    rng = np.random.default_rng(9)
+    entries = rng.normal(size=(2 * n_steps, dim_h, dim_u))
+    mats = rng.normal(size=(2 * n_steps, n_steps, dim_h, dim_u))
+
+    def member(j):
+        if j < 2 * n_steps:
+            return IntegrandSpec.from_constant(DenseOperator(space_u, space_h, entries[j]))
+        return IntegrandSpec.from_matrices(space_u, space_h, mats[j - 2 * n_steps])
+
+    family = FubiniFamily.from_factory(range(4 * n_steps), np.full(4 * n_steps, 0.01), member)
+    tracemalloc.start()
+    try:
+        fubini._both_orders(family, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * max(n_paths, dim_u) * (n_steps + 1) * dim_h * 8
+
+
 # ------------------------------------------- oracle: one products loop per side
 
 
