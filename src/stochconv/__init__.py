@@ -41,7 +41,6 @@ from .ito import (
     ito_integrate,
     lr_path_norm,
     probe_predictability,
-    sup_norm,
 )
 from .measures import (
     DiscreteFunction,
@@ -49,7 +48,6 @@ from .measures import (
     KernelSpec,
     holder_constant,
     lpq_norm,
-    product_measure_mass,
 )
 from .noise import (
     NoiseEnsemble,
@@ -57,7 +55,6 @@ from .noise import (
     TimeGrid,
     coarsen_increments,
     sample_increments,
-    wiener_values,
 )
 from .norms import TwoParameterField, estimate_lpq, estimate_lpqr
 
@@ -104,9 +101,6 @@ __all__ = [
     "lpq_norm",
     "lr_path_norm",
     "probe_predictability",
-    "product_measure_mass",
     "sample_increments",
     "semigroup_eval",
-    "sup_norm",
-    "wiener_values",
 ]

@@ -6,9 +6,9 @@ Usage::
     stochconv convolve --config file.json --method {direct,factorized,both} \
         --out paths.csv [--check] [--seed N] [--workers W]
 
-Exit codes: 0 on success, 1 on a configuration/schema violation or an
-unreadable config or unwritable output path, 2 when an invariant check fails
-in ``--check`` mode.
+Exit codes: 0 on success, 1 on a configuration/schema violation, an
+unreadable config, an unwritable output path or an allocation larger than
+memory, 2 when an invariant check fails in ``--check`` mode.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def main(argv=None) -> int:
                 return 1
             report, ok = run_experiment(cfg, args.out)
             print(f"{args.command} all_ok={ok} hash={cfg.config_hash[:12]} -> {args.out}")
-    except (StochConvError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StochConvError, OSError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     if args.check and not ok:
         return 2

@@ -222,6 +222,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     if horizon <= 0:
         raise ConfigError("grid.T must be positive")
     n_steps = _positive_int(grid_data, "N", "grid")
+    if horizon / n_steps == 0.0:
+        raise ConfigError(f"grid.T={horizon!r} over grid.N={n_steps} steps gives a step dt of 0")
     semigroup = _semigroup(_require(data, "semigroup", dict, "config"), space_h, horizon)
     noise_spec = _noise_spec(data, space_u)
     integrand = _integrand(_require(data, "integrand", dict, "config"), space_u, space_h, n_steps)

@@ -168,13 +168,19 @@ def c_beta(beta: float) -> float:
 
 
 def singular_weights(beta: float, dt: float, n: int) -> np.ndarray:
-    """The kernel weights (j dt)^(-beta), j = 1..n; ``StochConvError`` unless 0 <= beta < 1.
+    """The kernel weights (j dt)^(-beta), j = 1..n.
 
     Python's scalar pow: numpy's vectorised pow can differ from it in the last bit.
+
+    Raises:
+      StochConvError: unless 0 <= beta < 1, or where a weight overflows.
     """
     if not 0.0 <= beta < 1.0:  # NaN fails too
         raise StochConvError(f"beta must lie in [0, 1), got {beta}")
-    return np.array([(j * dt) ** (-beta) for j in range(1, n + 1)])
+    try:
+        return np.array([(j * dt) ** (-beta) for j in range(1, n + 1)])
+    except (OverflowError, ZeroDivisionError):
+        raise StochConvError(f"kernel weight dt^(-beta) overflows: beta={beta}, dt={dt}") from None
 
 
 def check_admissible(beta: float, r: float) -> None:

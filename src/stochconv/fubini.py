@@ -9,12 +9,12 @@ agree up to floating-point reassociation of a finite double sum.  One walk
 over the time steps builds both sides: each (atom, step) product
 w_j * (g_j(t_i) dW_i) is filled once and feeds both reduction orders (atoms
 inner vs. atoms outer), so a single-atom family commutes bitwise.  Each step
-block of a run of time-varying or dense constant atoms is filled by one
-batched product, and each side adds the atoms with one ``np.add.reduce``.  The
-atoms are reduced left to right on both sides, with the bytes of one
-``integrand_products`` call per atom, and no temporary holds more than
-max(P, dim_U) * N * dim_H values, whatever the number of atoms: one atom's
-products, or the matrices of at most N atoms.
+block of a run of dense constant atoms, or of time-varying atoms with
+dim_U > 1, is filled by one batched ``matmul``, and each side adds the atoms
+with one ``np.add.reduce``.  The atoms are reduced left to right on both
+sides, with the bytes of one ``integrand_products`` call per atom, and no
+temporary holds more than max(P, dim_U) * N * dim_H values, whatever the
+number of atoms: one atom's products, or the matrices of at most N atoms.
 """
 
 from __future__ import annotations
@@ -105,13 +105,14 @@ def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
 def _run_kind(phi: IntegrandSpec, n_paths: int, n_steps: int) -> str | None:
     """The kind of atom run that ``_fill_run`` fills with one call, or None for ``fill_products``.
 
-    Spectral constants and adapted atoms go through ``fill_products``.  A dense
-    constant joins a run only where it gets one BLAS gemm per step: at least 2
-    paths and 2 steps, and not ``one_call_per_path``.  A one-row product goes to
-    gemv, which sums in another order than one ``fill_products`` call.
+    Spectral constants, adapted atoms and time-varying atoms with dim_U == 1 go
+    through ``fill_products``.  A dense constant joins a run only where it gets
+    one BLAS gemm per step: at least 2 paths and 2 steps, and not
+    ``one_call_per_path``.  A one-row product goes to gemv, which sums in
+    another order than one ``fill_products`` call.
     """
     if phi.kind == TIME_VARYING:
-        return TIME_VARYING
+        return TIME_VARYING if phi.domain.dim > 1 else None
     dense = isinstance(phi.constant, DenseOperator)
     if dense and min(n_paths, n_steps) >= 2 and not one_call_per_path(phi):
         return "dense"
@@ -150,10 +151,9 @@ def _fill_run(
 ):
     """Phi_{t_i} dW_i of a run of atoms, start <= i < stop, into rows (steps, atoms, paths, dim_H).
 
-    One products call fills the run: each (step, atom) product is the gemm or
-    outer product that one ``fill_products`` call over all steps makes for that
-    atom, so the bytes are the same.  Atoms of kind None go through
-    ``fill_products`` one by one.
+    One ``matmul`` fills the run: each (step, atom) product is the gemm that one
+    ``fill_products`` call over all steps makes for that atom, so the bytes are
+    the same.  Atoms of kind None go through ``fill_products`` one by one.
     """
     if kind is None:
         for j, phi in enumerate(phis):
@@ -165,11 +165,7 @@ def _fill_run(
         return
     mats, buffer = operand
     stacked = np.stack([m[start:stop] for m in mats], axis=1, out=buffer[: stop - start])
-    if stacked.shape[3] == 1:
-        # as in ``step_products``: an outer product into a zeroed output
-        np.einsum("igh,pi->igph", stacked[..., 0], inc[:, start:stop, 0], out=rows)
-    else:
-        np.matmul(steps, stacked.swapaxes(2, 3), out=rows)
+    np.matmul(steps, stacked.swapaxes(2, 3), out=rows)
 
 
 def _add_atoms(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray, onto_out: bool):

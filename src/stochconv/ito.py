@@ -20,9 +20,7 @@ from .errors import (
 from .hilbert import (
     DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
 )
-from .noise import (
-    NoiseEnsemble, TimeGrid, check_path_index, open_path_or_file, prefix_sums, sample_increments,
-)
+from .noise import NoiseEnsemble, TimeGrid, open_path_or_file, prefix_sums, sample_increments
 
 __all__ = [
     "IntegrandSpec",
@@ -30,7 +28,6 @@ __all__ = [
     "PathEnsemble",
     "ito_integrate",
     "integrand_products",
-    "sup_norm",
     "lr_path_norm",
     "probe_predictability",
     "export_paths_csv",
@@ -345,23 +342,9 @@ def node_magnitudes(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(values**2, axis=-1))
 
 
-def sup_norm(ensemble: PathEnsemble, path: int) -> float:
-    """Maximum Euclidean node magnitude along one path."""
-    check_path_index(path, ensemble.n_paths)
-    return float(np.max(node_magnitudes(ensemble.values[path])))
-
-
 def path_sup_norms(ensemble: PathEnsemble) -> np.ndarray:
     """Per-path sup norms, shape (paths,)."""
     return np.max(node_magnitudes(ensemble.values), axis=1)
-
-
-def sup_lr_norm(values: np.ndarray, r: float) -> tuple[np.ndarray, float, float]:
-    """Sup-L^r reduction of node values (paths, nodes, dim): per-path sup^r, mean, 1/r-th root."""
-    check_exponent("r", r)
-    sups = np.max(node_magnitudes(values), axis=1) ** r
-    moment = float(np.mean(sups))
-    return sups, moment, moment ** (1.0 / r)
 
 
 def lr_path_norm(ensemble: PathEnsemble, r: float):
@@ -370,7 +353,10 @@ def lr_path_norm(ensemble: PathEnsemble, r: float):
     Raises:
       StochConvError: unless 1 <= r < inf.
     """
-    sups, moment, estimate = sup_lr_norm(ensemble.values, r)
+    check_exponent("r", r)
+    sups = path_sup_norms(ensemble) ** r
+    moment = float(np.mean(sups))
+    estimate = moment ** (1.0 / r)
     n = sups.size
     if moment == 0.0 or n < 2:
         se = 0.0

@@ -17,7 +17,6 @@ __all__ = [
     "DiscreteMeasureSpace",
     "KernelSpec",
     "DiscreteFunction",
-    "product_measure_mass",
     "lpq_norm",
     "holder_constant",
     "abs_integral",
@@ -104,11 +103,6 @@ def _check_kernel_function(f: DiscreteFunction, k: KernelSpec):
             expected=shape,
             got=f.values.shape[:2],
         )
-
-
-def product_measure_mass(k: KernelSpec) -> float:
-    """Total mass of the product measure built from the kernel."""
-    return float(np.sum(k.first_factor_masses * k.base.weights))
 
 
 def abs_integral(f: DiscreteFunction, k: KernelSpec) -> float:

@@ -19,7 +19,6 @@ sqrt(-2 log 2^-53), about 8.6 standard deviations.
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import threading
 from dataclasses import dataclass
@@ -36,18 +35,13 @@ __all__ = [
     "NoiseEnsemble",
     "sample_increments",
     "increment_rows",
-    "wiener_values",
     "coarsen_increments",
-    "save_increments",
-    "load_increments",
 ]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SH30, _SH27, _SH31, _SH11 = (np.uint64(k) for k in (30, 27, 31, 11))
-
-_DUMP_MAGIC = b"QWIENER1"
 
 
 @dataclass(frozen=True)
@@ -250,21 +244,6 @@ def _check_sampling(master_seed, n_paths, workers) -> None:
         raise StochConvError(f"workers must be a positive integer, got {workers!r}")
 
 
-def wiener_values(ensemble: NoiseEnsemble, path: int) -> np.ndarray:
-    """Cumulative noise path at the grid nodes, starting at 0.
-
-    Returns an array of shape (N + 1, dim).
-    """
-    check_path_index(path, ensemble.n_paths)
-    return prefix_sums(ensemble.increments[path : path + 1])[0]
-
-
-def check_path_index(path, n_paths: int) -> None:
-    """Raise ``StochConvError`` naming ``path`` unless it is an integer in [0, n_paths)."""
-    if not is_integer(path) or not 0 <= path < n_paths:
-        raise StochConvError(f"path must be an integer index in [0, {n_paths}), got {path!r}")
-
-
 def prefix_sums(steps: np.ndarray) -> np.ndarray:
     """Node values 0, y_0, y_0 + y_1, ... of per-step values y (paths, N, dim)."""
     values = np.zeros((steps.shape[0], steps.shape[1] + 1, steps.shape[2]))
@@ -298,42 +277,3 @@ def open_path_or_file(file, mode: str, **kwargs):
     if isinstance(file, (str, bytes)):
         return open(file, mode, **kwargs)
     return contextlib.nullcontext(file)
-
-
-def save_increments(ensemble: NoiseEnsemble, file) -> None:
-    """Write increments as magic + (paths, steps, modes) header + raw float64.
-
-    All fields are little-endian; the array is written in C order.
-    """
-    with open_path_or_file(file, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        dims = np.array(ensemble.increments.shape, dtype="<u8")
-        fh.write(dims.tobytes())
-        fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
-
-
-def load_increments(file) -> np.ndarray:
-    """Read back an increment array written by ``save_increments``.
-
-    ``file`` is a path or a seekable binary file.  The header's dims are checked
-    against the bytes that remain before the payload is read, and the payload
-    must be finite.
-    """
-    with open_path_or_file(file, "rb") as fh:
-        magic = fh.read(len(_DUMP_MAGIC))
-        if magic != _DUMP_MAGIC:
-            raise StochConvError(f"bad magic {magic!r} in increment dump")
-        header = fh.read(24)
-        if len(header) != 24:
-            raise StochConvError("truncated increment dump header")
-        shape = tuple(int(d) for d in np.frombuffer(header, dtype="<u8"))
-        n_bytes = 8 * math.prod(shape)  # Python ints: no uint64 wrap-around
-        start = fh.tell()
-        remaining = fh.seek(0, io.SEEK_END) - start
-        fh.seek(start)
-        if n_bytes == 0 or n_bytes > remaining:
-            raise StochConvError(
-                f"increment dump header {shape} needs {n_bytes} bytes, {remaining} remain"
-            )
-        data = np.frombuffer(fh.read(n_bytes), dtype="<f8")
-        return frozen_array(data, "increment dump payload", copy=False).reshape(shape).copy()

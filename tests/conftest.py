@@ -13,6 +13,7 @@ from stochconv import (
     TimeGrid,
     sample_increments,
 )
+from stochconv.noise import prefix_sums
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -54,3 +55,8 @@ def ou_semigroup(scalar_space):
 def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(a - b))) / scale
+
+
+def wiener_values(noise, path: int) -> np.ndarray:
+    """One path's cumulative noise at the grid nodes, (N + 1, dim), starting at 0."""
+    return prefix_sums(noise.increments[path : path + 1])[0]

@@ -164,6 +164,7 @@ def test_config_hash_is_canonical():
             "grid.N",
             id="paths-array-unallocatable",
         ),
+        pytest.param(lambda d: d["grid"].update(T=5e-324), "grid.T", id="T-step-underflows"),
     ],
 )
 def test_schema_violations_raise_config_error(mutate, fragment):
@@ -396,6 +397,46 @@ def _one_error_line(capsys):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("factorize_compare.json", ["factorize-compare"]),
+        ("norms_ou.json", ["norms"]),
+        ("convolve_ou.json", ["convolve", "--method", "factorized"]),
+    ],
+)
+def test_a_horizon_whose_step_underflows_is_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, name, argv
+):
+    # dt = 5e-324 / N is 0.0: the kernel weights 0.0 ** -beta raised ZeroDivisionError
+    data = json.loads((CONFIG_DIR / name).read_text())
+    data["grid"]["T"] = 5e-324
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    out = str(tmp_path / "paths.csv") if argv[0] == "convolve" else str(tmp_path)
+    assert main([argv[0], "--config", _write(tmp_path, data), *argv[1:], "--out", out]) == 1
+    assert "grid.T=5e-324" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "name, update",
+    [
+        ("fubini_midpoint.json", lambda d: d["options"]["family"]["quadrature"].update(n=10**17)),
+        ("norms_ou.json", lambda d: d.update(n_paths=10**12)),
+    ],
+    ids=["quadrature-atoms", "paths"],
+)
+def test_an_allocation_larger_than_memory_exits_one(tmp_path, capsys, name, update):
+    # the first array of each (8e17 and 1.3e15 bytes) exceeds the 47-bit address space,
+    # so the allocation fails before any memory is touched
+    data = json.loads((CONFIG_DIR / name).read_text())
+    update(data)
+    argv = [data["experiment"], "--config", _write(tmp_path, data), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "Unable to allocate" in _one_error_line(capsys)
 
 
 def test_convolve_into_a_missing_directory_exits_one(tmp_path, capsys):

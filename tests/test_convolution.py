@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -28,8 +29,6 @@ from stochconv import (
     kernel_convolution,
     sample_increments,
     semigroup_eval,
-    sup_norm,
-    wiener_values,
 )
 from stochconv import _parallel
 from stochconv._parallel import BLOCK_ELEMENTS
@@ -43,6 +42,8 @@ from stochconv.convolution import (
 )
 from stochconv.hilbert import apply_operator, lag_table, operator_matrix
 from stochconv.ito import integrand_products, path_sup_norms, product_blocks
+
+from conftest import wiener_values
 
 
 def _scalar_request(n_steps=200, n_paths=300, rate=1.0, beta=0.3, r=4.0, seed=2718):
@@ -582,7 +583,7 @@ def test_compare_opposite_ensembles_doubles_sup():
     x = direct_convolution(req)
     neg = PathEnsemble(-x.values, x.grid)
     report = compare(x, neg)
-    assert report.sup_abs == 2.0 * max(sup_norm(x, p) for p in range(x.n_paths))
+    assert report.sup_abs == 2.0 * np.max(path_sup_norms(x))
 
 
 def test_compare_shape_mismatch():
@@ -663,6 +664,13 @@ def test_factorization_exponents_have_one_admissibility_check(name, beta, r):
             factorization_smoothing(ens, sg, beta, r)
         else:
             smoothing_bound_factor(beta, r, 1.0)
+
+
+@pytest.mark.parametrize("beta, dt", [(0.99, 1e-315), (0.5, 0.0)])
+def test_singular_weights_refuse_a_weight_that_overflows(beta, dt):
+    # Python's pow raised OverflowError, or ZeroDivisionError at dt = 0
+    with pytest.raises(StochConvError, match=re.escape(f"beta={beta}, dt={dt}")):
+        singular_weights(beta, dt, 3)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.75])

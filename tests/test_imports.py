@@ -1,8 +1,11 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import stochconv
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stochconv"
 
@@ -36,3 +39,18 @@ def test_import_loads_no_scipy_module():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_all_name_resolves_once():
+    # a name deleted from a module but left in an __all__ breaks `from stochconv import *`
+    modules = [stochconv] + [
+        importlib.import_module(f"stochconv.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    problems = []
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        problems += [f"{module.__name__}: duplicate {n}" for n in set(names) if names.count(n) > 1]
+        problems += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
+    assert problems == []

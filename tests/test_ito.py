@@ -22,10 +22,10 @@ from stochconv import (
     lr_path_norm,
     probe_predictability,
     sample_increments,
-    sup_norm,
-    wiener_values,
 )
-from stochconv.ito import export_paths_csv, path_sup_norms, step_products, sup_lr_norm
+from stochconv.ito import export_paths_csv, path_sup_norms, step_products
+
+from conftest import wiener_values
 
 # (E sup_{[0,1]} |W|^2)^(1/2) from a reflection-principle Monte Carlo oracle
 # run at dt = 1e-4 with 1e5 paths (series CDF value in the continuum: 1.353489).
@@ -155,9 +155,9 @@ def test_adapted_probe_catches_future_peeking(scalar_wiener, scalar_space):
 def test_sup_norm_examples():
     grid = TimeGrid(1.0, 2)
     zero = PathEnsemble(np.zeros((1, 3, 1)), grid)
-    assert sup_norm(zero, 0) == 0.0
+    assert path_sup_norms(zero)[0] == 0.0
     monotone = PathEnsemble(np.array([[[0.0], [1.0], [3.0]]]), grid)
-    assert sup_norm(monotone, 0) == 3.0
+    assert path_sup_norms(monotone)[0] == 3.0
 
 
 def test_sup_norm_homogeneity(rng):
@@ -166,10 +166,9 @@ def test_sup_norm_homogeneity(rng):
     ens = PathEnsemble(values, grid)
     for a in (-2.5, 0.0, 0.3):
         scaled = PathEnsemble(a * values, grid)
-        for path in range(4):
-            assert sup_norm(scaled, path) == pytest.approx(
-                abs(a) * sup_norm(ens, path), rel=1e-12, abs=1e-300
-            )
+        assert path_sup_norms(scaled) == pytest.approx(
+            abs(a) * path_sup_norms(ens), rel=1e-12, abs=1e-300
+        )
 
 
 def test_lr_path_norm_constant_and_zero():
@@ -209,9 +208,10 @@ def test_lr_path_norm_rejects_an_infinite_exponent():
 
 
 @pytest.mark.parametrize("r", [np.inf, np.nan])
-def test_sup_lr_norm_rejects_a_non_finite_exponent(r):
+def test_lr_path_norm_rejects_a_non_finite_exponent(r):
+    ens = PathEnsemble(np.full((3, 5, 1), 2.5), TimeGrid(1.0, 4))
     with pytest.raises(StochConvError, match="r="):
-        sup_lr_norm(np.full((3, 5, 1), 2.5), r)
+        lr_path_norm(ens, r)
 
 
 def test_path_sup_norms_matches_per_path(rng):
@@ -219,7 +219,8 @@ def test_path_sup_norms_matches_per_path(rng):
     ens = PathEnsemble(rng.normal(size=(7, 6, 2)), grid)
     batch = path_sup_norms(ens)
     for path in range(7):
-        assert batch[path] == sup_norm(ens, path)
+        alone = PathEnsemble(ens.values[path : path + 1], grid)
+        assert batch[path] == path_sup_norms(alone)[0]
 
 
 def test_csv_export_roundtrip(scalar_wiener, unit_integrand):
@@ -244,16 +245,6 @@ def test_time_varying_needs_enough_operators(scalar_wiener, scalar_space):
     phi = IntegrandSpec.from_matrices(scalar_space, scalar_space, np.ones((10, 1, 1)))
     with pytest.raises(DimensionMismatchError):
         ito_integrate(phi, scalar_wiener)
-
-
-@pytest.mark.parametrize("path", [1.5, np.float64(1.0), True, -1, 3])
-def test_sup_norm_rejects_a_bad_path_index(path):
-    ens = ito_integrate(
-        IntegrandSpec.from_constant(SpectralOperator(HilbertSpec(1), HilbertSpec(1), [1.0])),
-        _scalar_noise(4, 3),
-    )
-    with pytest.raises(StochConvError, match="path"):
-        sup_norm(ens, path)
 
 
 def _einsum_step_products(mats, inc, out=None):
@@ -307,6 +298,7 @@ def test_step_products_give_a_zero_product_the_sign_of_a_sum():
 
 
 @pytest.mark.parametrize("r", [True, "2", 0.5])
-def test_sup_lr_norm_takes_only_a_real_exponent_of_at_least_one(r):
+def test_lr_path_norm_takes_only_a_real_exponent_of_at_least_one(r):
+    ens = PathEnsemble(np.full((3, 5, 1), 2.5), TimeGrid(1.0, 4))
     with pytest.raises(StochConvError, match="r must be a finite real >= 1, got r="):
-        sup_lr_norm(np.full((3, 5, 1), 2.5), r)
+        lr_path_norm(ens, r)

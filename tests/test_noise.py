@@ -1,5 +1,4 @@
 import hashlib
-import io
 from unittest import mock
 
 import numpy as np
@@ -14,10 +13,11 @@ from stochconv import (
     TimeGrid,
     coarsen_increments,
     sample_increments,
-    wiener_values,
 )
 from stochconv import _parallel, noise
-from stochconv.noise import increment_rows, load_increments, save_increments, standard_gaussians
+from stochconv.noise import increment_rows, standard_gaussians
+
+from conftest import wiener_values
 
 _U64 = st.integers(0, 2**64 - 1)
 
@@ -165,74 +165,6 @@ def test_gaussians_are_pure_functions_of_the_counter(seed, path, step):
     assert np.isfinite(float(a))
 
 
-def test_dump_roundtrip_bytes():
-    ens = sample_increments(_spec(3), TimeGrid(1.0, 7), 123, 4)
-    buf = io.BytesIO()
-    save_increments(ens, buf)
-    raw = buf.getvalue()
-    assert raw[:8] == b"QWIENER1"
-    dims = np.frombuffer(raw[8:32], dtype="<u8")
-    assert tuple(dims) == (4, 7, 3)
-    buf.seek(0)
-    back = load_increments(buf)
-    assert np.array_equal(back, ens.increments)
-
-
-def test_dump_roundtrip_file_path(tmp_path):
-    ens = sample_increments(_spec(2), TimeGrid(1.0, 5), 321, 3)
-    target = str(tmp_path / "increments.bin")
-    save_increments(ens, target)
-    assert np.array_equal(load_increments(target), ens.increments)
-
-
-def test_dump_rejects_bad_magic():
-    with pytest.raises(StochConvError):
-        load_increments(io.BytesIO(b"NOTMAGIC" + b"\0" * 48))
-
-
-class _ReadRecorder(io.BytesIO):
-    def __init__(self, data):
-        super().__init__(data)
-        self.sizes = []
-
-    def read(self, size=-1):
-        self.sizes.append(size)
-        return super().read(size)
-
-
-@pytest.mark.parametrize(
-    "dims,payload_floats",
-    [
-        pytest.param((0, 5, 3), 0, id="zero-dim"),
-        pytest.param((2**63, 2**63, 4), 4, id="product-overflows-uint64"),
-        pytest.param((2**40, 2**20, 1), 4, id="huge-count"),
-        pytest.param((4, 7, 3), 10, id="more-bytes-than-remain"),
-    ],
-)
-def test_dump_header_is_checked_before_reading(dims, payload_floats):
-    header = np.array(dims, dtype="<u8").tobytes()
-    dump = _ReadRecorder(b"QWIENER1" + header + b"\0" * (8 * payload_floats))
-    with pytest.raises(StochConvError):
-        load_increments(dump)
-    # nothing past the 24-byte header was requested
-    assert all(0 <= size <= 24 for size in dump.sizes)
-
-
-def test_dump_rejects_truncated_header():
-    with pytest.raises(StochConvError):
-        load_increments(io.BytesIO(b"QWIENER1" + b"\0" * 10))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_dump_rejects_a_non_finite_payload(bad):
-    payload = np.zeros((2, 3, 1))
-    payload[1, 2, 0] = bad
-    header = np.array(payload.shape, dtype="<u8").tobytes()
-    dump = io.BytesIO(b"QWIENER1" + header + payload.astype("<f8").tobytes())
-    with pytest.raises(StochConvError, match="increment dump payload must be finite"):
-        load_increments(dump)
-
-
 def test_gaussian_moments_sane():
     z = standard_gaussians(5, np.zeros(200_000, dtype=np.uint64), np.arange(200_000, dtype=np.uint64), 0)
     n = z.size
@@ -250,9 +182,6 @@ def test_invalid_arguments():
         QWienerSpec(HilbertSpec(2), [1.0, -1.0])
     with pytest.raises(StochConvError):
         sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 0)
-    ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
-    with pytest.raises(StochConvError):
-        wiener_values(ens, 2)
 
 
 @pytest.mark.parametrize("workers", ["2", 2.5, 0, -3, True])
@@ -406,18 +335,6 @@ def test_time_grid_accepts_numpy_scalars():
     grid = TimeGrid(np.float64(2.0), np.int64(8))
     assert grid.dt == 0.25
     assert grid.nodes.shape == (9,)
-
-
-@pytest.mark.parametrize("path", [1.5, np.float64(1.0), True, -1])
-def test_wiener_values_rejects_a_bad_path_index(path):
-    ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
-    with pytest.raises(StochConvError, match="path"):
-        wiener_values(ens, path)
-
-
-def test_wiener_values_accepts_a_numpy_path_index():
-    ens = sample_increments(_spec(1), TimeGrid(1.0, 4), 0, 2)
-    assert np.array_equal(wiener_values(ens, np.int64(1)), wiener_values(ens, 1))
 
 
 @given(
