@@ -78,7 +78,7 @@ def main(argv=None) -> int:
             report, ok = run_experiment(cfg, args.out)
             print(f"{args.command} all_ok={ok} hash={cfg.config_hash[:12]} -> {args.out}")
     except (StochConvError, OSError, MemoryError) as exc:
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     if args.check and not ok:
         return 2

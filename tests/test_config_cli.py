@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochconv import ConfigError
+from stochconv import ConfigError, cli
 from stochconv import config as config_module
 from stochconv import experiments
 from stochconv.cli import main
@@ -399,6 +399,21 @@ def _one_error_line(capsys):
     return err
 
 
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_every_shipped_config_refuses_a_step_that_underflows(path):
+    data = json.loads(path.read_text())
+    data["grid"]["T"] = 5e-324
+    with pytest.raises(ConfigError, match="grid.T=5e-324"):
+        parse_config(data)
+
+
+def test_the_smallest_positive_step_is_accepted():
+    # T = N * 5e-324 is exact, so dt is the smallest subnormal and not 0
+    data = _base_config()
+    data["grid"]["T"] = 50 * 5e-324
+    assert parse_config(data).grid.dt == 5e-324
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -437,6 +452,16 @@ def test_an_allocation_larger_than_memory_exits_one(tmp_path, capsys, name, upda
     argv = [data["experiment"], "--config", _write(tmp_path, data), "--out", str(tmp_path)]
     assert main(argv) == 1
     assert "Unable to allocate" in _one_error_line(capsys)
+
+
+def test_a_memory_error_without_a_message_says_out_of_memory(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kw):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    argv = ["ou-check", "--config", _write(tmp_path, _base_config()), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == "error: out of memory\n"
 
 
 def test_convolve_into_a_missing_directory_exits_one(tmp_path, capsys):

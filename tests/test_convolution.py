@@ -673,6 +673,14 @@ def test_singular_weights_refuse_a_weight_that_overflows(beta, dt):
         singular_weights(beta, dt, 3)
 
 
+@pytest.mark.parametrize("beta, dt", [(0.0, 5e-324), (0.5, 5e-324), (0.99, 1e-300)])
+def test_singular_weights_take_a_tiny_step_whose_weights_are_finite(beta, dt):
+    # the overflow check refuses only a weight that does not fit in a double
+    got = singular_weights(beta, dt, 3)
+    assert np.all(np.isfinite(got))
+    assert got.tolist() == [(j * dt) ** (-beta) for j in range(1, 4)]
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.75])
 def test_singular_weights_are_the_scalar_pow_of_each_lag(beta):
     dt = 1.0 / 7.0

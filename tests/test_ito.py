@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -180,6 +181,30 @@ def test_lr_path_norm_constant_and_zero():
         assert report.standard_error == pytest.approx(0.0, abs=1e-12)
     zero = PathEnsemble(np.zeros((6, 5, 1)), grid)
     assert lr_path_norm(zero, 2.0).estimate == 0.0
+
+
+@pytest.mark.parametrize(
+    "sups, r, estimate, se",
+    [
+        # moment 2, SE of the mean sqrt(2) / sqrt(2) = 1, scaled by 2 / (1 * 2)
+        ([1.0, 3.0], 1.0, 2.0, 1.0),
+        # moment 5, SE of the mean 4, scaled by sqrt(5) / (2 * 5)
+        ([1.0, 3.0], 2.0, math.sqrt(5.0), 2.0 / math.sqrt(5.0)),
+        # one path: no spread to estimate, the SE is 0
+        ([3.0], 2.0, 3.0, 0.0),
+    ],
+    ids=["r1", "r2", "one-path"],
+)
+def test_lr_path_norm_hand_moment_and_delta_se(sups, r, estimate, se):
+    # each path's sup sits at its last node, behind a larger negative coordinate elsewhere
+    values = np.zeros((len(sups), 3, 2))
+    for path, sup in enumerate(sups):
+        values[path, 1] = [0.0, -0.5 * sup]
+        values[path, 2] = [0.6 * sup, -0.8 * sup]
+    report = lr_path_norm(PathEnsemble(values, TimeGrid(1.0, 2)), r)
+    assert report.estimate == pytest.approx(estimate, rel=1e-14)
+    assert report.standard_error == pytest.approx(se, rel=1e-14, abs=0.0)
+    assert (report.p, report.q, report.r, report.n_paths) == (r, r, r, len(sups))
 
 
 def test_lr_path_norm_brownian_against_frozen_oracle():

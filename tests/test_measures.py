@@ -27,6 +27,31 @@ def _random_kernel(rng, max_atoms=6):
     return _kernel(rng.uniform(0.0, 2.0, n2), rng.uniform(0.0, 2.0, (n2, n1)))
 
 
+def _one(k):
+    return DiscreteFunction(np.ones((len(k.d1_points), len(k.base.points))))
+
+
+# the mass of the product measure is the integral of |1| against it
+def test_product_mass_hand_sum():
+    # two base atoms of weight 1, kernel masses 1 and 4
+    k = _kernel([1.0, 1.0], [[0.5, 0.5], [3.0, 1.0]])
+    oracle = 1.0 * (0.5 + 0.5) + 1.0 * (3.0 + 1.0)
+    assert abs_integral(_one(k), k) == pytest.approx(oracle, rel=1e-15)
+    assert abs_integral(_one(k), k) == pytest.approx(5.0)
+
+
+def test_product_mass_zero_base_measure():
+    k = _kernel([0.0, 0.0], [[1.0, 2.0], [3.0, 4.0]])
+    assert abs_integral(_one(k), k) == 0.0
+
+
+def test_product_mass_constant_kernel_factorizes(rng):
+    mu0 = rng.uniform(0.0, 1.0, 4)
+    w = rng.uniform(0.0, 1.0, 3)
+    k = _kernel(w, np.tile(mu0, (3, 1)))
+    assert abs_integral(_one(k), k) == pytest.approx(np.sum(mu0) * np.sum(w), rel=1e-13)
+
+
 def test_lpq_norm_constant_function(rng):
     k = _random_kernel(rng)
     c = 1.7
