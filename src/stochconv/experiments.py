@@ -134,9 +134,10 @@ def _variance_check(cfg: ScenarioConfig):
     (``increment_rows``), max(1, BLOCK_ELEMENTS // (P d)) steps a block, so
     neither the increments nor the (P, N + 1, d) values exist: the run keeps
     X(T) and one path-major (P, N + 1) array of mode 0, whose variance curve is
-    computed in place.  The bytes are those of ``sample_increments``,
-    ``direct_convolution`` and ``np.var`` over the full values.  ``n_paths`` < 2
-    is refused before any noise is drawn.
+    computed in place.  The spectral Phi multiplies each path-major block into
+    the recursion's time-major rows elementwise, so the bytes are those of
+    ``sample_increments``, ``direct_convolution`` and ``np.var`` over the full
+    values.  ``n_paths`` < 2 is refused before any noise is drawn.
     """
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
     if cfg.n_paths < 2:  # before any noise is sampled
@@ -148,7 +149,7 @@ def _variance_check(cfg: ScenarioConfig):
         dw = increment_rows(
             cfg.noise_spec, cfg.grid, cfg.seed, n_paths, start, stop, workers=cfg.workers
         )
-        apply_operator(phi, dw, out=out)
+        apply_operator(phi, dw.swapaxes(0, 1), out=out)
 
     step = semigroup_eval(cfg.semigroup, cfg.grid.dt)
     blocks = path_blocks(n_steps, n_paths * dim)
@@ -330,16 +331,19 @@ def _run_constants(cfg: ScenarioConfig):
 
 
 def _run_norms(cfg: ScenarioConfig):
-    noise = _sample_noise(cfg)
     semigroup, phi = cfg.semigroup, cfg.integrand
     space_u = cfg.noise_spec.space
     weight = SpectralOperator(space_u, space_u, cfg.noise_spec.q_eigenvalues)
+    # deterministic, so first: a field that overflows is refused before sampling, and
+    # the field is freed before the noise and the convolutions are built
+    field = singular_kernel_field(phi, semigroup, cfg.grid, cfg.beta, weight=weight)
+    field_norm = estimate_lpqr(field, cfg.p, cfg.q, cfg.r, seed=cfg.seed + 3)
+    del field
+    noise = _sample_noise(cfg)
     request = _request(cfg, noise)
     direct_lpq = estimate_lpq(conv.direct_convolution(request), cfg.p, cfg.q, seed=cfg.seed + 1)
     smoothed = conv.factorized_convolution(request)
     smoothed_lrr = estimate_lpq(smoothed, cfg.r, cfg.r, seed=cfg.seed + 2)
-    field = singular_kernel_field(phi, semigroup, cfg.grid, cfg.beta, weight=weight)
-    field_norm = estimate_lpqr(field, cfg.p, cfg.q, cfg.r, seed=cfg.seed + 3)
     j_estimate = integral_norm_estimate(phi, semigroup, noise, cfg.beta, cfg.q, cfg.r, weight)
 
     c_beta = conv.c_beta(cfg.beta)

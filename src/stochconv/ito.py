@@ -20,7 +20,7 @@ from .errors import (
 from .hilbert import (
     DenseOperator, HilbertSpec, Operator, SpectralOperator, apply_operator, operator_matrix,
 )
-from .noise import NoiseEnsemble, TimeGrid, open_path_or_file, prefix_sums, sample_increments
+from .noise import NoiseEnsemble, TimeGrid, prefix_sums, sample_increments
 
 __all__ = [
     "IntegrandSpec",
@@ -366,7 +366,7 @@ def lr_path_norm(ensemble: PathEnsemble, r: float):
     return NormReport(estimate=estimate, standard_error=se, p=r, q=r, r=r, n_paths=n)
 
 
-def export_paths_csv(paths, file) -> None:
+def export_paths_csv(paths, path: str) -> None:
     """Write paths as CSV rows ``path_id, t, coord_0, ..., coord_{d-1}``.
 
     ``paths`` is one ``PathEnsemble`` or a ``{method: PathEnsemble}`` mapping;
@@ -380,7 +380,7 @@ def export_paths_csv(paths, file) -> None:
     if not groups:
         raise StochConvError("no path ensembles to export")
     dim = next(iter(groups.values())).dim
-    with open_path_or_file(file, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "path_id,t," + ",".join(f"coord_{d}" for d in range(dim)) + "\n")
         for lead, ensemble in groups.items():
             nodes = ensemble.grid.nodes

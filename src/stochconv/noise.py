@@ -6,19 +6,18 @@ a splitmix64-style avalanche (xor-shift/multiply finalizer), each at the
 broadcast shape of those before it.  Two salted output words branch off last,
 map to 53-bit uniforms, and a Box-Muller cosine transform turns them into one
 standard normal.  Every draw is elementwise, so the layout of a call does not
-move a bit.  ``sample_increments`` builds a whole ensemble, path-major, with
-one call per ``_parallel`` path block (about 64k elements, so the hashing
-temporaries stay in cache).  ``increment_rows`` draws the same counters for a
-range of steps, time-major, for a recursion that walks the steps in blocks.
-Regeneration is byte-identical across runs, path and step blocks and thread
-counts.
+move a bit.  ``increment_rows`` is the one sampler: it draws a range of
+steps, path-major, with one call per ``_parallel`` path block (about 64k
+elements, so the hashing temporaries stay in cache), for a recursion that
+walks the steps in blocks.  ``sample_increments`` draws all the steps at once
+as a ``NoiseEnsemble``.  Regeneration is byte-identical across runs, path and
+step blocks and thread counts.
 The transform uses u1 in (0, 1], so the sampled tail is capped at
 sqrt(-2 log 2^-53), about 8.6 standard deviations.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -150,6 +149,14 @@ def standard_gaussians(seed: int, path_ix, step_ix, mode_ix) -> np.ndarray:
     return u1.reshape(shape)
 
 
+# ``increment_rows`` runs once per step block of a recursion, so each thread
+# holds its last draws until it has drawn its next block, within a call and
+# across calls: with every block temporary freed, glibc malloc trims the heap top
+# after each block and page-faults it back in.  Freeing them between calls gave
+# the heat-spde benchmark workload 4.3x the page faults and 29% more wall time.
+_step_draws = threading.local()
+
+
 def sample_increments(
     spec: QWienerSpec,
     grid: TimeGrid,
@@ -169,32 +176,9 @@ def sample_increments(
     Returns:
       ``NoiseEnsemble`` with increments of shape (n_paths, N, dim).
     """
-    _check_sampling(master_seed, n_paths, workers)
-    n_steps, dim = grid.n_steps, spec.space.dim
-    scale = np.sqrt(spec.q_eigenvalues * grid.dt)
-    out = np.empty((n_paths, n_steps, dim))
-    step_ix = np.arange(n_steps, dtype=np.uint64)[None, :, None]
-    mode_ix = np.arange(dim, dtype=np.uint64)[None, None, :]
-
-    # Each thread keeps its last block's draws until it has drawn the next block:
-    # with every block temporary freed, glibc malloc trims the heap top after each
-    # block and page-faults it back in (about +25% sampling time at N*d = 25,600).
-    held = threading.local()
-
-    def fill(start, stop):
-        path_ix = np.arange(start, stop, dtype=np.uint64)[:, None, None]
-        held.draws = standard_gaussians(master_seed, path_ix, step_ix, mode_ix)
-        np.multiply(held.draws, scale, out=out[start:stop])
-
-    run_over_paths(fill, n_paths, n_steps * dim, workers=workers)
-    return NoiseEnsemble(out, master_seed, grid, spec)
-
-
-# ``increment_rows`` runs once per step block, so the heap trim that
-# ``sample_increments`` avoids within one call would happen between calls: each
-# thread holds its last step draws until its next call.  Freeing them gave the
-# heat-spde benchmark workload 4.3x the page faults and 29% more wall time.
-_step_draws = threading.local()
+    increments = increment_rows(spec, grid, master_seed, n_paths, 0, grid.n_steps, workers)
+    _step_draws.last = None  # a whole ensemble has no next block to draw
+    return NoiseEnsemble(increments, master_seed, grid, spec)
 
 
 def increment_rows(
@@ -206,42 +190,37 @@ def increment_rows(
     stop: int,
     workers: int = 1,
 ) -> np.ndarray:
-    """The increments of the steps start <= k < stop, time-major.
+    """The increments of the steps start <= k < stop, path-major.
 
-    Row j holds step start + j of every path: the result, shape
-    (stop - start, n_paths, dim), is bitwise
-    ``sample_increments(...).increments[:, start:stop].swapaxes(0, 1)``, with no
-    array of all the steps.  One ``standard_gaussians`` call per ``_parallel``
-    path block of stop - start steps; ``workers`` as in ``sample_increments``.
+    Entry (m, j, k) of the result, shape (n_paths, stop - start, dim), is the
+    draw of counter (master_seed, m, start + j, k) times sqrt(q_k dt), so every
+    step range is bitwise that range of the whole ensemble, with no array of
+    all the steps.  One ``standard_gaussians`` call per ``_parallel`` path
+    block of stop - start steps; ``workers`` as in ``sample_increments``.
     """
-    _check_sampling(master_seed, n_paths, workers)
-    if not (is_integer(start) and is_integer(stop) and 0 <= start < stop <= grid.n_steps):
-        raise StochConvError(
-            f"steps must satisfy 0 <= start < stop <= {grid.n_steps}, got {start!r}, {stop!r}"
-        )
-    dim = spec.space.dim
-    scale = np.sqrt(spec.q_eigenvalues * grid.dt)
-    out = np.empty((stop - start, n_paths, dim))
-    step_ix = np.arange(start, stop, dtype=np.uint64)[:, None, None]
-    mode_ix = np.arange(dim, dtype=np.uint64)[None, None, :]
-
-    def fill(first, last):
-        path_ix = np.arange(first, last, dtype=np.uint64)[None, :, None]
-        _step_draws.last = standard_gaussians(master_seed, path_ix, step_ix, mode_ix)
-        np.multiply(_step_draws.last, scale, out=out[:, first:last])
-
-    run_over_paths(fill, n_paths, (stop - start) * dim, workers=workers)
-    return out
-
-
-def _check_sampling(master_seed, n_paths, workers) -> None:
-    """The argument checks shared by the two samplers."""
     if not is_integer(master_seed) or not 0 <= master_seed < 2**64:
         raise StochConvError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
     if not is_integer(n_paths) or n_paths < 1:
         raise StochConvError(f"n_paths must be a positive integer, got {n_paths!r}")
     if not is_integer(workers) or workers < 1:
         raise StochConvError(f"workers must be a positive integer, got {workers!r}")
+    if not (is_integer(start) and is_integer(stop) and 0 <= start < stop <= grid.n_steps):
+        raise StochConvError(
+            f"steps must satisfy 0 <= start < stop <= {grid.n_steps}, got {start!r}, {stop!r}"
+        )
+    dim = spec.space.dim
+    scale = np.sqrt(spec.q_eigenvalues * grid.dt)
+    out = np.empty((n_paths, stop - start, dim))
+    step_ix = np.arange(start, stop, dtype=np.uint64)[None, :, None]
+    mode_ix = np.arange(dim, dtype=np.uint64)[None, None, :]
+
+    def fill(first, last):
+        path_ix = np.arange(first, last, dtype=np.uint64)[:, None, None]
+        _step_draws.last = standard_gaussians(master_seed, path_ix, step_ix, mode_ix)
+        np.multiply(_step_draws.last, scale, out=out[first:last])
+
+    run_over_paths(fill, n_paths, (stop - start) * dim, workers=workers)
+    return out
 
 
 def prefix_sums(steps: np.ndarray) -> np.ndarray:
@@ -270,10 +249,3 @@ def coarsen_increments(ensemble: NoiseEnsemble, factor: int) -> NoiseEnsemble:
     ).sum(axis=2)
     grid = TimeGrid(ensemble.grid.horizon, coarse_steps)
     return NoiseEnsemble(inc, ensemble.master_seed, grid, ensemble.spec)
-
-
-def open_path_or_file(file, mode: str, **kwargs):
-    """``open(file, mode)`` for a path; for a file object, a context that leaves it open."""
-    if isinstance(file, (str, bytes)):
-        return open(file, mode, **kwargs)
-    return contextlib.nullcontext(file)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import path_blocks
 from .convolution import singular_weights
-from .errors import DimensionMismatchError, check_exponent, frozen_array
+from .errors import DimensionMismatchError, StochConvError, check_exponent, frozen_array
 from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, lag_table, weight_eigenvalues
 from .ito import (
     CONSTANT, NormReport, check_compatible, node_magnitudes, step_matrices, step_products,
@@ -180,8 +180,13 @@ def singular_kernel_field(
     terms = _slice_terms(phi, semigroup, grid, beta)
     q = weight_eigenvalues(weight, phi.domain.dim)
     mags = np.zeros((1, n_nodes, n_nodes))
-    for k, hs in enumerate(_singular_slices(*terms, q), 1):
-        mags[0, :k, k] = hs
+    with np.errstate(over="ignore"):  # an overflow leaves a norm that is not finite
+        for k, hs in enumerate(_singular_slices(*terms, q), 1):
+            if not np.all(np.isfinite(hs)):
+                raise StochConvError(
+                    f"singular-kernel field overflows at beta={beta!r} with step dt={grid.dt!r}"
+                )
+            mags[0, :k, k] = hs
     return TwoParameterField(mags, grid)
 
 

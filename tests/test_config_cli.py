@@ -436,6 +436,19 @@ def test_a_horizon_whose_step_underflows_is_refused_before_sampling(
     assert "grid.T=5e-324" in _one_error_line(capsys)
 
 
+def test_a_singular_field_that_overflows_is_refused_before_sampling(tmp_path, monkeypatch, capsys):
+    # dt^(-beta) is about 1e307 and finite, but the slice norms overflow: this failed in
+    # TwoParameterField with a message that named no input, after both convolutions had run
+    data = json.loads((CONFIG_DIR / "norms_ou.json").read_text())
+    data["grid"].update(T=1e-310, N=1)
+    data["beta"] = 0.99
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    assert main(["norms", "--config", _write(tmp_path, data), "--out", str(tmp_path)]) == 1
+    assert "beta=0.99 with step dt=1e-310" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "name, update",
     [

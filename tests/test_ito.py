@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -248,11 +247,11 @@ def test_path_sup_norms_matches_per_path(rng):
         assert batch[path] == path_sup_norms(alone)[0]
 
 
-def test_csv_export_roundtrip(scalar_wiener, unit_integrand):
+def test_csv_export_roundtrip(tmp_path, scalar_wiener, unit_integrand):
     ens = ito_integrate(unit_integrand, scalar_wiener)
-    buf = io.StringIO()
-    export_paths_csv(ens, buf)
-    lines = buf.getvalue().strip().split("\n")
+    path = tmp_path / "paths.csv"
+    export_paths_csv(ens, str(path))
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "path_id,t,coord_0"
     assert len(lines) == 1 + ens.n_paths * (ens.grid.n_steps + 1)
     first = lines[1].split(",")

@@ -356,9 +356,15 @@ def test_increment_rows_are_bitwise_the_ensemble_steps(
     spec, grid = _spec(dim, [0.25 * k for k in range(dim)]), TimeGrid(0.7, n_steps)
     with mock.patch.object(_parallel, "BLOCK_ELEMENTS", block_elements):
         rows = increment_rows(spec, grid, seed, n_paths, start, stop, workers=workers)
-    ens = sample_increments(spec, grid, seed, n_paths)
-    assert rows.shape == (stop - start, n_paths, dim)
-    assert rows.tobytes() == ens.increments[:, start:stop].swapaxes(0, 1).tobytes()
+    expected = _oracle_gaussians(
+        seed,
+        np.arange(n_paths, dtype=np.uint64)[:, None, None],
+        np.arange(start, stop, dtype=np.uint64)[None, :, None],
+        np.arange(dim, dtype=np.uint64)[None, None, :],
+    )
+    expected *= np.sqrt(spec.q_eigenvalues * grid.dt)
+    assert rows.shape == (n_paths, stop - start, dim)
+    assert rows.tobytes() == expected.tobytes()
 
 
 def _first_error(fn):
@@ -391,3 +397,12 @@ def test_increment_rows_share_the_sampler_checks(args, workers):
 def test_increment_rows_refuse_a_bad_step_range(start, stop):
     with pytest.raises(StochConvError, match="0 <= start < stop <= 4"):
         increment_rows(_spec(1), TimeGrid(1.0, 4), 0, 2, start, stop)
+
+
+def test_a_whole_ensemble_keeps_no_drawn_block_alive():
+    # a step block's draws are held for the next block; an ensemble's are freed on return
+    spec, grid = _spec(2), TimeGrid(1.0, 8)
+    increment_rows(spec, grid, 3, 4, 0, 2)
+    assert noise._step_draws.last.shape == (4, 2, 2)
+    sample_increments(spec, grid, 3, 4)
+    assert noise._step_draws.last is None

@@ -134,6 +134,12 @@ def test_only_frozen_array_freezes_the_arrays_of_value_objects():
     assert [path.name for path in SRC.glob("*.py") if "writeable" in path.read_text()] == []
 
 
+def test_increment_rows_is_the_one_noise_sampler():
+    # sample_increments wraps increment_rows: one block loop draws every increment
+    assert list(_call_sites("standard_gaussians")) == ["noise.py:increment_rows"]
+    assert list(_call_sites("run_over_paths")) == ["noise.py:increment_rows"]
+
+
 def test_lag_table_is_read_by_the_lag_engine_and_the_singular_slices_only():
     # the convolution stages go through _lag_convolve; the norms field and battery
     # through _slice_terms
