@@ -132,11 +132,15 @@ def _variance_check(cfg: ScenarioConfig):
 
     The direct recursion runs on noise drawn one step block at a time
     (``increment_rows``), max(1, BLOCK_ELEMENTS // (P d)) steps a block, so
-    neither the increments nor the (P, N + 1, d) values exist: the run keeps
-    X(T) and one path-major (P, N + 1) array of mode 0, whose variance curve is
-    computed in place.  The spectral Phi multiplies each path-major block into
-    the recursion's time-major rows elementwise, so the bytes are those of
-    ``sample_increments``, ``direct_convolution`` and ``np.var`` over the full
+    neither the increments nor the (P, N + 1, d) values exist, nor a (P, N + 1)
+    array of mode 0: each block holds all P paths of its steps, so its columns
+    of the mode-0 curve are reduced in place on a contiguous (P, s) copy, made
+    in one buffer that every block reuses, and the run keeps X(T) and the
+    curve's N + 1 values.  A one-step block is padded to two columns, because
+    numpy reduces a lone (P, 1) column pairwise, not row by row as it reduces
+    every column of a wider array.  The spectral Phi multiplies each
+    path-major block into the recursion's time-major rows elementwise, so the
+    bytes are those of ``sample_increments``, ``direct_convolution`` and ``np.var`` over the full
     values.  ``n_paths`` < 2 is refused before any noise is drawn.
     """
     rates, q_eig, phi_eig = _diagonal_scenario(cfg)
@@ -153,9 +157,14 @@ def _variance_check(cfg: ScenarioConfig):
 
     step = semigroup_eval(cfg.semigroup, cfg.grid.dt)
     blocks = path_blocks(n_steps, n_paths * dim)
-    mode0 = np.zeros((n_paths, n_steps + 1))
+    emp_curve = np.zeros(n_steps + 1)  # X(0) = 0 on every path: its variance is 0.0
+    copies = np.empty(n_paths * max(blocks[0][1] - blocks[0][0], 2))
     for start, stop, block in conv.direct_recursion(step, n_paths, dim, blocks, fill):
-        mode0[:, start + 1 : stop + 1] = block[:, :, 0].T
+        width = stop - start
+        mode0 = copies[: n_paths * max(width, 2)].reshape(n_paths, -1)
+        mode0[:, :width] = block[:, :, 0].T
+        mode0[:, width:] = 0.0  # the pad of a one-step block: see the docstring
+        emp_curve[start + 1 : stop + 1] = _sample_variance_in_place(mode0)[:width]
     final = block[-1]  # X(T), shape (P, d)
     n = final.shape[0]
     estimates = np.var(final, axis=0, ddof=1)
@@ -177,7 +186,6 @@ def _variance_check(cfg: ScenarioConfig):
     fields = {"n_paths": n, "dt": cfg.grid.dt, "modes": modes}
     # plot-ready variance-in-time curve for the first mode
     nodes = cfg.grid.nodes
-    emp_curve = _sample_variance_in_place(mode0)
     closed_curve = _ou_variance(rates[0], q_eig[0], phi_eig[0], nodes)
     tables = {
         f"{cfg.experiment}_modes.csv": (header, rows),

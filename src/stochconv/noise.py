@@ -8,9 +8,11 @@ map to 53-bit uniforms, and a Box-Muller cosine transform turns them into one
 standard normal.  Every draw is elementwise, so the layout of a call does not
 move a bit.  ``increment_rows`` is the one sampler: it draws a range of
 steps, path-major, with one call per ``_parallel`` path block (about 64k
-elements, so the hashing temporaries stay in cache), for a recursion that
-walks the steps in blocks.  ``sample_increments`` draws all the steps at once
-as a ``NoiseEnsemble``.  Regeneration is byte-identical across runs, path and
+elements, so the hashing stays in cache), for a recursion that walks the steps
+in blocks.  Each block is hashed in a workspace that its thread keeps from
+block to block and draws straight into its slice of the output.
+``sample_increments`` draws all the steps at once as a ``NoiseEnsemble`` and
+drops the workspace.  Regeneration is byte-identical across runs, path and
 step blocks and thread counts.
 The transform uses u1 in (0, 1], so the sampled tail is capped at
 sqrt(-2 log 2^-53), about 8.6 standard deviations.
@@ -121,39 +123,55 @@ def _mix64(state: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return state
 
 
-def standard_gaussians(seed: int, path_ix, step_ix, mode_ix) -> np.ndarray:
-    """One N(0,1) draw per broadcasted (path, step, mode) counter."""
+def standard_gaussians(seed: int, path_ix, step_ix, mode_ix, out=None) -> np.ndarray:
+    """One N(0,1) draw per broadcasted (path, step, mode) counter.
+
+    ``out``, if given, is a C-contiguous float64 array of the broadcast shape
+    and receives the draws.  The hashing runs in the calling thread's workspace.
+    """
     shape = np.broadcast_shapes(np.shape(path_ix), np.shape(step_ix), np.shape(mode_ix))
+    held = getattr(_step_draws, "workspace", None)
+    if held is None or held.shape[1] < math.prod(shape):
+        held = _step_draws.workspace = np.empty((2, math.prod(shape)), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        # seed, path, step, mode: each absorbed at the broadcast shape of those before it
+        # seed, path, step, mode: each absorbed at the broadcast shape of those
+        # before it, from one workspace row into the other, the first as scratch
         state = np.full((1,), np.uint64(seed) + _GOLD, dtype=np.uint64)
-        for index in (path_ix, step_ix, mode_ix):
-            state = state + np.asarray(index, dtype=np.uint64) * _GOLD
-            scratch = np.empty_like(state)
+        for k, index in enumerate((path_ix, step_ix, mode_ix)):
+            at = np.broadcast_shapes(state.shape, np.shape(index))
+            n = math.prod(at)
+            target, scratch = held[k % 2, :n].reshape(at), held[1 - k % 2, :n].reshape(at)
+            state = np.add(state, np.asarray(index, dtype=np.uint64) * _GOLD, out=target)
             _mix64(state, scratch)
-        # the salt is absorbed last: salt 0 adds nothing, salt 1 adds _GOLD
-        word0 = _mix64(state.copy(), scratch)
-        state += _GOLD
-        word1 = _mix64(state, scratch)
-    u1 = np.right_shift(word0, _SH11, out=word0).astype(np.float64)
-    u1 += 1.0
+        if out is None:
+            out = np.empty(state.shape)
+        u1 = out.reshape(state.shape)
+        # the salt is absorbed last: salt 1 adds _GOLD, salt 0 adds nothing
+        word0 = state
+        word1 = np.add(word0, _GOLD, out=scratch)
+        _mix64(word1, u1.view(np.uint64))  # ``out`` is scratch until u1 is written
+        _mix64(word0, u1.view(np.uint64))
+    # every shifted word is below 2**53, so its float64 is exact
+    np.right_shift(word0, _SH11, out=word0)
+    np.add(word0.view(np.int64), 1.0, out=u1)
     u1 *= 2.0**-53
-    u2 = np.right_shift(word1, _SH11, out=word1).astype(np.float64)
-    u2 *= 2.0**-53
+    np.right_shift(word1, _SH11, out=word1)
+    u2 = np.multiply(word1.view(np.int64), 2.0**-53, out=word0.view(np.float64))
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
     u2 *= 2.0 * np.pi
     np.cos(u2, out=u2)
     u1 *= u2
-    return u1.reshape(shape)
+    return out.reshape(shape)
 
 
 # ``increment_rows`` runs once per step block of a recursion, so each thread
-# holds its last draws until it has drawn its next block, within a call and
-# across calls: with every block temporary freed, glibc malloc trims the heap top
-# after each block and page-faults it back in.  Freeing them between calls gave
-# the heat-spde benchmark workload 4.3x the page faults and 29% more wall time.
+# keeps its sampler workspace, the two uint64 rows ``standard_gaussians``
+# hashes in, from block to block and from call to call, and grows it only for
+# a larger block: with every block temporary freed, glibc malloc trims the heap
+# top after each block and page-faults it back in.  ``sample_increments`` drops
+# the calling thread's workspace, since a whole ensemble has no next block.
 _step_draws = threading.local()
 
 
@@ -177,7 +195,7 @@ def sample_increments(
       ``NoiseEnsemble`` with increments of shape (n_paths, N, dim).
     """
     increments = increment_rows(spec, grid, master_seed, n_paths, 0, grid.n_steps, workers)
-    _step_draws.last = None  # a whole ensemble has no next block to draw
+    _step_draws.workspace = None  # a whole ensemble has no next block to draw
     return NoiseEnsemble(increments, master_seed, grid, spec)
 
 
@@ -196,7 +214,8 @@ def increment_rows(
     draw of counter (master_seed, m, start + j, k) times sqrt(q_k dt), so every
     step range is bitwise that range of the whole ensemble, with no array of
     all the steps.  One ``standard_gaussians`` call per ``_parallel`` path
-    block of stop - start steps; ``workers`` as in ``sample_increments``.
+    block of stop - start steps, written into and scaled in the result;
+    ``workers`` as in ``sample_increments``.
     """
     if not is_integer(master_seed) or not 0 <= master_seed < 2**64:
         raise StochConvError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
@@ -216,8 +235,9 @@ def increment_rows(
 
     def fill(first, last):
         path_ix = np.arange(first, last, dtype=np.uint64)[:, None, None]
-        _step_draws.last = standard_gaussians(master_seed, path_ix, step_ix, mode_ix)
-        np.multiply(_step_draws.last, scale, out=out[first:last])
+        block = out[first:last]
+        standard_gaussians(master_seed, path_ix, step_ix, mode_ix, out=block)
+        block *= scale
 
     run_over_paths(fill, n_paths, (stop - start) * dim, workers=workers)
     return out

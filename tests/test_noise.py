@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -367,30 +368,20 @@ def test_increment_rows_are_bitwise_the_ensemble_steps(
     assert rows.tobytes() == expected.tobytes()
 
 
-def _first_error(fn):
-    try:
-        fn()
-    except StochConvError as exc:
-        return str(exc)
-    pytest.fail("no StochConvError")
-
-
 @pytest.mark.parametrize(
-    "args,workers",
+    "args,workers,message",
     [
-        pytest.param((-1, 2), 1, id="seed-negative"),
-        pytest.param((2**64, 2), 1, id="seed-2pow64"),
-        pytest.param((0, 0), 1, id="n_paths-zero"),
-        pytest.param((0, 2.5), 1, id="n_paths-float"),
-        pytest.param((0, 2), 0, id="workers-zero"),
-        pytest.param((0, 2), True, id="workers-bool"),
+        pytest.param((-1, 2), 1, "master_seed must be", id="seed-negative"),
+        pytest.param((2**64, 2), 1, "master_seed must be", id="seed-2pow64"),
+        pytest.param((0, 0), 1, "n_paths must be a positive integer", id="n_paths-zero"),
+        pytest.param((0, 2.5), 1, "n_paths must be a positive integer", id="n_paths-float"),
+        pytest.param((0, 2), 0, "workers must be a positive integer", id="workers-zero"),
+        pytest.param((0, 2), True, "workers must be a positive integer", id="workers-bool"),
     ],
 )
-def test_increment_rows_share_the_sampler_checks(args, workers):
-    spec, grid = _spec(1), TimeGrid(1.0, 4)
-    rows = _first_error(lambda: increment_rows(spec, grid, *args, 0, 4, workers=workers))
-    ensemble = _first_error(lambda: sample_increments(spec, grid, *args, workers=workers))
-    assert rows == ensemble
+def test_increment_rows_share_the_sampler_checks(args, workers, message):
+    with pytest.raises(StochConvError, match=message):
+        increment_rows(_spec(1), TimeGrid(1.0, 4), *args, 0, 4, workers=workers)
 
 
 @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 1), (0, 5), (0.0, 2), (0, True)])
@@ -400,9 +391,25 @@ def test_increment_rows_refuse_a_bad_step_range(start, stop):
 
 
 def test_a_whole_ensemble_keeps_no_drawn_block_alive():
-    # a step block's draws are held for the next block; an ensemble's are freed on return
+    # a step block's sampler workspace is held for the next block; an ensemble's is
+    # dropped on return
     spec, grid = _spec(2), TimeGrid(1.0, 8)
+    sample_increments(spec, grid, 3, 1)
     increment_rows(spec, grid, 3, 4, 0, 2)
-    assert noise._step_draws.last.shape == (4, 2, 2)
+    assert noise._step_draws.workspace.shape == (2, 4 * 2 * 2)
     sample_increments(spec, grid, 3, 4)
-    assert noise._step_draws.last is None
+    assert noise._step_draws.workspace is None
+
+
+def test_a_warm_step_block_allocates_only_its_output():
+    # after one block the workspace is held: the next block of the same shape allocates
+    # its (P, s, d) output and the small counters, not the hashing temporaries
+    spec, grid = _spec(8), TimeGrid(1.0, 64)
+    increment_rows(spec, grid, 7, 500, 0, 16)
+    tracemalloc.start()
+    try:
+        rows = increment_rows(spec, grid, 7, 500, 16, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rows.nbytes

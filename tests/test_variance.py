@@ -6,6 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -123,22 +124,6 @@ def test_step_block_variance_check_is_bitwise_the_full_ensemble_oracle(cfg, bloc
     assert fast == slow
 
 
-def test_variance_check_holds_no_values_array_at_workload_size():
-    # the heat-spde workload: X(T), one (P, N + 1) mode-0 array, np.var's copy of it
-    # and a step block, not the (P, N, d) increments or the (P, N + 1, d) values
-    data = json.loads((CONFIG_DIR / "heat_spde.json").read_text())
-    data["n_paths"] = 500
-    cfg = parse_config(data)
-    n_paths, n_nodes = cfg.n_paths, cfg.grid.n_steps + 1
-    tracemalloc.start()
-    try:
-        experiments._variance_check(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * n_paths * n_nodes * 8
-
-
 @given(
     values=hnp.arrays(
         np.float64,
@@ -155,18 +140,33 @@ def test_in_place_sample_variance_is_bitwise_np_var(values):
     assert got.tobytes() == expected.tobytes()
 
 
-def test_variance_check_holds_one_mode0_array_at_workload_size():
-    # the heat-spde workload: one (P, N + 1) mode-0 array (12.8 MB), its variance curve
-    # computed in place, and a step block with the sampler's temporaries (about 4 MB);
-    # np.var's copy of the mode-0 array made the peak 2.1 times that array
+@pytest.mark.parametrize("n_steps", [3200, 12800])
+def test_variance_check_peak_is_bounded_by_the_block_budget(n_steps):
+    # the heat-spde workload (P = 500, d = 8) and four times its steps: X(T), a step
+    # block of increments and recursion rows, the sampler's workspace and the N + 1
+    # curve; no (P, N + 1) array of mode 0, which alone is 12.8 MB at N = 3200
     data = json.loads((CONFIG_DIR / "heat_spde.json").read_text())
     data["n_paths"] = 500
+    data["grid"]["N"] = n_steps
     cfg = parse_config(data)
-    mode0_bytes = cfg.n_paths * (cfg.grid.n_steps + 1) * 8
+    sample_increments(cfg.noise_spec, cfg.grid, 0, 1)  # drops this thread's sampler workspace
     tracemalloc.start()
     try:
         experiments._variance_check(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * mode0_bytes
+    assert peak < 8 * _parallel.BLOCK_ELEMENTS * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_step_blocks_at_the_block_budget_are_bitwise_the_oracle(workers):
+    # P * d = 72,000 > BLOCK_ELEMENTS: every step block is one padded step, drawn in
+    # two noise path blocks (8,192 paths and 808)
+    rates = [1.0, 4.0, 9.0, 16.0, 25.0, 36.0, 49.0, 64.0]
+    q_eig = [1.0 / (k + 1) ** 2 for k in range(8)]
+    cfg = _config("heat-spde", 9000, 3, rates, q_eig, [1.0] * 8, 99, workers)
+    assert _parallel.path_blocks(cfg.grid.n_steps, cfg.n_paths * 8) == [(0, 1), (1, 2), (2, 3)]
+    fast = _artifact_text(experiments._variance_check(cfg))
+    slow = _artifact_text(_variance_check_oracle(cfg))
+    assert fast == slow
