@@ -23,11 +23,11 @@ pipeline, whose step S(dt) is ``semigroup_eval`` at dt, the table's row 1).
 
 The direct pipeline walks the time axis in step blocks: ``direct_recursion``
 asks for a block's products Phi_k dW_k in a time-major buffer and turns its
-contiguous rows into nodes in place.  ``direct_convolution`` fills the products
-with ``ito.fill_products`` over ``ito.product_blocks`` and copies each block's
-nodes out once, so no array of all the products exists, but for the one
-exception that ``product_blocks`` names.  The variance experiments drive the
-same generator on noise drawn block by block (``noise.increment_rows``).
+contiguous rows into nodes in place.  ``direct_convolution`` fills each
+``_parallel.path_blocks`` step block with ``ito.fill_products`` and copies its
+nodes out once, so no array of all the products exists.  The variance
+experiments drive the same generator on noise drawn block by block
+(``noise.increment_rows``).
 
 The kernel and smoothing stages share one causal lag-convolution engine,
 ``_lag_convolve``: a zero-padded real FFT along the time axis with the kernel
@@ -51,7 +51,7 @@ from .errors import DimensionMismatchError, StochConvError, check_exponent, froz
 from .hilbert import SemigroupSpec, apply_operator, lag_table, semigroup_eval
 from .ito import (
     IntegrandSpec, PathEnsemble, check_compatible, fill_products, integrand_products,
-    node_magnitudes, product_blocks,
+    node_magnitudes,
 )
 from .noise import NoiseEnsemble
 
@@ -267,12 +267,11 @@ def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
 
     Node t_k carries sum_{i<k} S(t_k - t_i) Phi_{t_i} dW_i, computed by the
     exact one-step recursion X_{k+1} = S(dt) (X_k + Phi_k dW_k) of
-    ``direct_recursion``.  Its step blocks are those of ``ito.product_blocks``,
-    ``ito.fill_products`` writes their products, and one transposing copy per
-    block writes the block's nodes, so no array of all the products exists
-    (``ito.product_blocks`` names the one exception).  The bytes are those of
-    the products-first recursion (``integrand_products``, then one
-    ``apply_operator`` per step).
+    ``direct_recursion``.  Its step blocks are ``_parallel.path_blocks`` of
+    P * dim_H values per step, ``ito.fill_products`` writes their products, and
+    one transposing copy per block writes the block's nodes, so no array of all
+    the products exists.  The bytes are those of the products-first recursion
+    (``integrand_products``, then one ``apply_operator`` per step).
 
     Returns:
       ``PathEnsemble`` with zero value at t_0.
@@ -286,7 +285,7 @@ def direct_convolution(req: ConvolutionRequest) -> PathEnsemble:
     def fill(start, stop, out):
         fill_products(phi, inc, start, stop, out.swapaxes(0, 1))
 
-    blocks = product_blocks(phi, n_paths, n_steps)
+    blocks = path_blocks(n_steps, n_paths * dim_h)
     for start, stop, rows in direct_recursion(step, n_paths, dim_h, blocks, fill):
         values[:, start + 1 : stop + 1] = rows.swapaxes(0, 1)
     return PathEnsemble(values, req.noise.grid)

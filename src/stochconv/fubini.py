@@ -28,8 +28,7 @@ from .convolution import DiscrepancyReport, compare
 from .errors import DimensionMismatchError, StochConvError, frozen_array
 from .hilbert import DenseOperator
 from .ito import (
-    TIME_VARYING, IntegrandSpec, PathEnsemble, check_compatible, fill_products,
-    one_call_per_path, step_matrices,
+    TIME_VARYING, IntegrandSpec, PathEnsemble, check_compatible, fill_products, step_matrices,
 )
 from .noise import NoiseEnsemble
 
@@ -83,51 +82,31 @@ class FubiniFamily:
 
 
 def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
-    """Contiguous atom ranges (start, stop) of at most n_steps atoms, in atom order.
-
-    A ``one_call_per_path`` atom is a range of its own, so that its one step
-    block covers every step.
-    """
-    groups, start = [], 0
-    for j, phi in enumerate(family.integrands):
-        alone = one_call_per_path(phi)
-        if j > start and (alone or j - start == n_steps):
-            groups.append((start, j))
-            start = j
-        if alone:
-            groups.append((j, j + 1))
-            start = j + 1
-    if start < family.n_atoms:
-        groups.append((start, family.n_atoms))
-    return groups
+    """Contiguous atom ranges (start, stop) of at most n_steps atoms, in atom order."""
+    n_atoms = family.n_atoms
+    return [(start, min(start + n_steps, n_atoms)) for start in range(0, n_atoms, n_steps)]
 
 
-def _run_kind(phi: IntegrandSpec, n_paths: int, n_steps: int) -> str | None:
+def _run_kind(phi: IntegrandSpec) -> str | None:
     """The kind of atom run that ``_fill_run`` fills with one call, or None for ``fill_products``.
 
-    Spectral constants, adapted atoms and time-varying atoms with dim_U == 1 go
-    through ``fill_products``.  A dense constant joins a run only where it gets
-    one BLAS gemm per step: at least 2 paths and 2 steps, and not
-    ``one_call_per_path``.  A one-row product goes to gemv, which sums in
-    another order than one ``fill_products`` call.
+    Dense constants and time-varying atoms with dim_U > 1 join runs; spectral
+    constants, adapted atoms and time-varying atoms with dim_U == 1 go through
+    ``fill_products``.
     """
     if phi.kind == TIME_VARYING:
         return TIME_VARYING if phi.domain.dim > 1 else None
-    dense = isinstance(phi.constant, DenseOperator)
-    if dense and min(n_paths, n_steps) >= 2 and not one_call_per_path(phi):
-        return "dense"
-    return None
+    return "dense" if isinstance(phi.constant, DenseOperator) else None
 
 
-def _atom_runs(phis: tuple, inc: np.ndarray, size: int) -> list[tuple]:
+def _atom_runs(phis: tuple, n_steps: int, size: int) -> list[tuple]:
     """Maximal ranges (start, stop, kind, operand) of consecutive atoms of one ``_run_kind``.
 
     The operand holds a dense run's stacked (transposed) entries, or, for
     time-varying atoms, their step matrices and a (size, atoms, dim_H, dim_U)
     buffer for one step block of them.
     """
-    n_paths, n_steps, _ = inc.shape
-    kinds = [_run_kind(phi, n_paths, n_steps) for phi in phis]
+    kinds = [_run_kind(phi) for phi in phis]
     runs, start = [], 0
     for stop in range(1, len(phis) + 1):
         if stop < len(phis) and kinds[stop] == kinds[start]:
@@ -151,9 +130,10 @@ def _fill_run(
 ):
     """Phi_{t_i} dW_i of a run of atoms, start <= i < stop, into rows (steps, atoms, paths, dim_H).
 
-    One ``matmul`` fills the run: each (step, atom) product is the gemm that one
-    ``fill_products`` call over all steps makes for that atom, so the bytes are
-    the same.  Atoms of kind None go through ``fill_products`` one by one.
+    One ``matmul`` fills the run: each (step, atom) product is the BLAS call,
+    (paths, dim_U) by (dim_U, dim_H), that ``fill_products`` makes for that atom
+    and step, so the bytes are the same.  Atoms of kind None go through
+    ``fill_products`` one by one.
     """
     if kind is None:
         for j, phi in enumerate(phis):
@@ -202,7 +182,7 @@ def _walk_steps(
     """
     n_paths, n_steps, _ = inc.shape
     size = max(1, n_steps // len(phis))
-    runs = _atom_runs(phis, inc, size)
+    runs = _atom_runs(phis, n_steps, size)
     block = np.empty((size, len(phis), n_paths, first.shape[2]))
     nodes = np.empty((size, n_paths, first.shape[2]))
     state = np.empty(block.shape[1:])  # each atom's sum over the steps so far

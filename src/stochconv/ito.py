@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import path_blocks
 from .errors import (
     DimensionMismatchError, PredictabilityError, StochConvError, check_exponent, frozen_array,
 )
@@ -228,19 +227,15 @@ def fill_products(
     ``out`` has shape (paths, stop - start, dim_H) and may be a strided view
     such as ``buf[:n].swapaxes(0, 1)`` of a time-major buffer.  ``inc`` holds
     the increments of every step, (paths, N, dim_U): an adapted callback reads
-    all of it.  Over the ranges of ``product_blocks`` a step's bytes are those
-    of one fill over all steps.
+    all of it.  Each step's products come from one call over all paths (for a
+    dense operator the BLAS product (paths, dim_U) by (dim_U, dim_H)), so a
+    step's bytes do not depend on the range that holds it: any split of the
+    steps is bitwise one fill over all of them.
     """
-    n_steps = inc.shape[1]
     if phi.kind == CONSTANT:
-        if stop - start == 1 < n_steps and isinstance(phi.constant, DenseOperator):
-            # numpy sends a one-row product to BLAS gemv, which sums in another order than gemm
-            lo = min(start, n_steps - 2)
-            out[:] = apply_operator(phi.constant, inc[:, lo : lo + 2])[:, start - lo : stop - lo]
-        else:
-            apply_operator(phi.constant, inc[:, start:stop], out=out)
+        apply_operator(phi.constant, inc[:, start:stop].swapaxes(0, 1), out=out.swapaxes(0, 1))
     elif phi.kind == TIME_VARYING:
-        step_products(step_matrices(phi, n_steps)[start:stop], inc[:, start:stop], out=out)
+        step_products(step_matrices(phi, inc.shape[1])[start:stop], inc[:, start:stop], out=out)
     else:
         for i in range(start, stop):
             mats = np.asarray(phi.callback(i, inc), dtype=np.float64)
@@ -249,26 +244,6 @@ def fill_products(
             else:
                 out[:, i - start, :] = np.einsum("phu,pu->ph", mats, inc[:, i, :])
     return out
-
-
-def one_call_per_path(phi: IntegrandSpec) -> bool:
-    """True for a dense constant operator onto a one-dimensional H (dim_U > 1).
-
-    numpy sends its products to BLAS gemv, which sums them in an order that
-    depends on a row's place in the call, so all steps of a path go in one call.
-    """
-    return isinstance(phi.constant, DenseOperator) and phi.codomain.dim == 1 < phi.domain.dim
-
-
-def product_blocks(phi: IntegrandSpec, n_paths: int, n_steps: int) -> list[tuple[int, int]]:
-    """Step ranges (start, stop) covering range(n_steps) for ``fill_products``.
-
-    ``_parallel.path_blocks`` ranges of n_paths * dim_H elements per step, except
-    for ``one_call_per_path`` integrands, whose steps form one range.
-    """
-    if one_call_per_path(phi):
-        return [(0, n_steps)]
-    return path_blocks(n_steps, n_paths * phi.codomain.dim)
 
 
 def integrand_products(phi: IntegrandSpec, noise: NoiseEnsemble) -> np.ndarray:

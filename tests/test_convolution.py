@@ -31,7 +31,7 @@ from stochconv import (
     semigroup_eval,
 )
 from stochconv import _parallel
-from stochconv._parallel import BLOCK_ELEMENTS
+from stochconv._parallel import BLOCK_ELEMENTS, path_blocks
 from stochconv.convolution import (
     _fft_length,
     _lag_convolve,
@@ -41,7 +41,7 @@ from stochconv.convolution import (
     smoothing_bound_factor,
 )
 from stochconv.hilbert import apply_operator, lag_table, operator_matrix
-from stochconv.ito import integrand_products, path_sup_norms, product_blocks
+from stochconv.ito import integrand_products, path_sup_norms
 
 from conftest import wiener_values
 
@@ -231,22 +231,29 @@ def test_direct_convolution_in_blocks_with_a_short_last_one_is_bitwise_the_oracl
         sg = SemigroupSpec(space_h, rates=rng.uniform(0.0, 5.0, dim_h))
     req = ConvolutionRequest(phi, sg, noise)
     with mock.patch.object(_parallel, "BLOCK_ELEMENTS", 4 * 5 * dim_h):
-        blocks = product_blocks(phi, 5, 37)
+        blocks = path_blocks(37, 5 * dim_h)
         fast = direct_convolution(req).values
     assert fast.tobytes() == _stepwise_direct_convolution(req).tobytes()
-    if dim_h == 1 < dim_u:  # BLAS gemv: its sums depend on a row's place in the call
-        assert blocks == [(0, 37)]
-    else:
-        assert len(blocks) == 10 and blocks[-1] == (36, 37)
+    assert len(blocks) == 10 and blocks[-1] == (36, 37)
 
 
-def test_direct_convolution_holds_no_array_of_all_the_products():
+@pytest.mark.parametrize("dims, n_paths, n_steps", [((4, 4), 200, 2000), ((2, 1), 500, 3000)])
+def test_direct_convolution_holds_no_array_of_all_the_products(dims, n_paths, n_steps):
     # tracemalloc sees numpy's allocations: the values, the finiteness mask of
-    # PathEnsemble (one byte per value) and a block buffer, not a (P, N, d) products array
-    space = HilbertSpec(4)
-    noise = sample_increments(QWienerSpec(space, np.ones(4)), TimeGrid(1.0, 2000), 3, 200)
-    phi = IntegrandSpec.from_constant(SpectralOperator(space, space, np.ones(4)))
-    req = ConvolutionRequest(phi, SemigroupSpec(space, rates=[1.0, 2.0, 3.0, 4.0]), noise)
+    # PathEnsemble (one byte per value) and a block buffer, not a (P, N, d) products array;
+    # (2, 1) is a dense constant onto a one-dimensional H, whose products go to BLAS gemv
+    dim_u, dim_h = dims
+    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    noise = sample_increments(
+        QWienerSpec(space_u, np.ones(dim_u)), TimeGrid(1.0, n_steps), 3, n_paths
+    )
+    if dim_u == dim_h:
+        phi = IntegrandSpec.from_constant(SpectralOperator(space_u, space_h, np.ones(dim_h)))
+    else:
+        entries = np.random.default_rng(5).normal(size=(dim_h, dim_u))
+        phi = IntegrandSpec.from_constant(DenseOperator(space_u, space_h, entries))
+    rates = np.arange(1.0, dim_h + 1.0)
+    req = ConvolutionRequest(phi, SemigroupSpec(space_h, rates=rates), noise)
     tracemalloc.start()
     try:
         values = direct_convolution(req).values

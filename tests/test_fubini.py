@@ -27,8 +27,7 @@ from stochconv import fubini
 from stochconv.config import parse_config
 from stochconv.convolution import compare
 from stochconv.experiments import run_experiment
-from stochconv.hilbert import apply_operator
-from stochconv.ito import CONSTANT, fill_products, integrand_products, one_call_per_path
+from stochconv.ito import fill_products, integrand_products
 
 from conftest import relative_gap
 
@@ -336,7 +335,7 @@ def _random_family(rng, dim_u, dim_h, n_steps, n_atoms, kind):
 # P = 1 with dim_H = 1 and 8 or more atoms: np.add.reduce over the atoms would sum pairwise
 @example(dim_u=5, dim_h=1, n_steps=3, n_paths=1, n_atoms=8, kind="mixed", seed=1)
 @example(dim_u=1, dim_h=1, n_steps=17, n_paths=1, n_atoms=11, kind="time_varying", seed=2)
-# a dense constant onto dim_H = 1 (BLAS gemv) among other kinds, several atom groups
+# a dense constant onto dim_H = 1 (one BLAS gemv per step) among other kinds, several atom groups
 @example(dim_u=3, dim_h=1, n_steps=4, n_paths=6, n_atoms=11, kind="mixed", seed=3)
 @example(dim_u=8, dim_h=1, n_steps=17, n_paths=2, n_atoms=2, kind="dense", seed=1638591437)
 # step blocks of 1, 2 and many steps
@@ -386,16 +385,6 @@ def _random_member(rng, space_u, space_h, n_steps, kind, zeros):
     return IntegrandSpec.from_callback(space_u, space_h, gain)
 
 
-def _fill_one_atom(phi, inc, start, stop, rows):
-    """Phi_{t_i} dW_i for start <= i < stop into time-major rows (stop - start, paths, dim_H)."""
-    if phi.kind == CONSTANT and min(inc.shape[:2]) >= 2 and not one_call_per_path(phi):
-        # one BLAS product per step over all paths; with one path here, or one step in
-        # the per-path product, a one-row product goes to gemv, which sums in another order
-        apply_operator(phi.constant, inc[:, start:stop].swapaxes(0, 1), out=rows)
-    else:
-        fill_products(phi, inc, start, stop, rows.swapaxes(0, 1))
-
-
 def _add_atom_by_atom(rows, nodes, out, onto):
     """out (paths, n, dim_H) = [out +] rows[:, 0] + rows[:, 1] + ..., one += per atom."""
     np.copyto(nodes, out.swapaxes(0, 1) if onto else rows[:, 0])
@@ -420,7 +409,7 @@ def _per_atom_both_orders(family, noise):
             stop = min(start + size, n_steps)
             rows, sums = block[: stop - start], nodes[: stop - start]
             for j, phi in enumerate(group):
-                _fill_one_atom(phi, inc, start, stop, rows[:, j])
+                fill_products(phi, inc, start, stop, rows[:, j].swapaxes(0, 1))
             rows *= scale
             _add_atom_by_atom(rows, sums, first[:, start + 1 : stop + 1], a0 > 0)
             if start:
@@ -455,10 +444,10 @@ def _per_atom_both_orders(family, noise):
 # more atoms than steps: later groups add onto the earlier groups' sums
 @example(dim_u=2, dim_h=3, n_steps=3, n_paths=4, runs=[("dense", 7), ("time_varying", 6)],
          zeros=True, seed=5)
-# the gemv atom (a dense constant onto dim_H = 1 at dim_U = 8) between runs
+# a dense constant onto dim_H = 1 at dim_U = 8 (one BLAS gemv per step) as a run between runs
 @example(dim_u=8, dim_h=1, n_steps=17, n_paths=3,
          runs=[("time_varying", 3), ("dense", 1), ("time_varying", 3)], zeros=False, seed=6)
-# one step or one path: a dense constant is filled on its own
+# one step or one path: a dense constant still joins a batched run
 @example(dim_u=3, dim_h=2, n_steps=1, n_paths=5, runs=[("dense", 4)], zeros=False, seed=7)
 @example(dim_u=3, dim_h=2, n_steps=8, n_paths=1, runs=[("dense", 4), ("adapted", 2)],
          zeros=True, seed=8)

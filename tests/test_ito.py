@@ -23,7 +23,7 @@ from stochconv import (
     probe_predictability,
     sample_increments,
 )
-from stochconv.ito import export_paths_csv, path_sup_norms, step_products
+from stochconv.ito import export_paths_csv, integrand_products, path_sup_norms, step_products
 
 from conftest import wiener_values
 
@@ -319,6 +319,25 @@ def test_step_products_give_a_zero_product_the_sign_of_a_sum():
     got = step_products(mats, inc)
     assert got.tobytes() == _einsum_step_products(mats, inc).tobytes()
     assert not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize(
+    "dim_u, dim_h, n_paths, n_steps",
+    [(4, 4, 1, 30), (4, 4, 3, 1), (8, 1, 5, 37), (2, 1, 1, 1), (3, 2, 4, 6)],
+)
+def test_a_dense_constant_is_one_product_per_step_over_all_paths(dim_u, dim_h, n_paths, n_steps):
+    # each step is its own call over all paths: at one path, one step or dim_H = 1 < dim_U
+    # other splits of the products reach BLAS gemv, which sums in another order than gemm
+    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    rng = np.random.default_rng(dim_u * 100 + n_paths * 10 + n_steps)
+    op = DenseOperator(space_u, space_h, _signed_entries(rng, (dim_h, dim_u)))
+    noise = sample_increments(
+        QWienerSpec(space_u, np.ones(dim_u)), TimeGrid(1.0, n_steps), 9, n_paths
+    )
+    products = integrand_products(IntegrandSpec.from_constant(op), noise)
+    for i in range(n_steps):
+        want = apply_operator(op, noise.increments[:, i])
+        assert products[:, i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("r", [True, "2", 0.5])
