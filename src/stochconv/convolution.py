@@ -37,6 +37,11 @@ O(P d N log N) (diagonal) or O(P d^2 N log N) (dense) against the
 O(P d N^2) of the lag-by-lag sum, and its rounding error is relative to the
 largest values of the input and the kernel, not to each output node.  Paths
 are transformed one ``_parallel.path_blocks`` block (FFT length x d) at a time.
+
+``compare`` reduces |a - b| one path block at a time through
+``DiscrepancySums``, which the factorize-compare runner also feeds with the
+blocks of its factorized side, so neither holds a (P, N + 1) array of
+differences.
 """
 
 from __future__ import annotations
@@ -334,8 +339,51 @@ def factorized_convolution(req: ConvolutionRequest) -> PathEnsemble:
     return factorization_smoothing(rough, req.semigroup, req.beta, req.r)
 
 
+class DiscrepancySums:
+    """Per-node sums and the sup of |a - b| over paths, added one path block at a time.
+
+    ``add`` takes the values of the next consecutive paths of both ensembles,
+    shape (paths, N + 1, dim), writes their |a - b| rows after a carried row
+    of per-node sums and reduces [carry; block] with one ``np.add.reduce``.
+    numpy reduces axis 0 of an array of two or more columns row by row, and
+    there are N + 1 >= 2, so the per-node means are bitwise ``np.mean`` of
+    all the rows at once, whatever the blocks.  The sup is a running max.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.n_paths = 0
+        self.sup_abs = 0.0
+        self._rows = np.zeros((1, grid.n_steps + 1))  # row 0: the carried sums
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+        n = a.shape[0]
+        if self._rows.shape[0] <= n:
+            rows = np.empty((n + 1, self._rows.shape[1]))
+            rows[0] = self._rows[0]
+            self._rows = rows
+        block = self._rows[1 : n + 1]
+        # not node_magnitudes: inline, numpy squares the temporary difference in place
+        np.sum((a - b) ** 2, axis=-1, out=block)
+        np.sqrt(block, out=block)
+        self.sup_abs = float(np.maximum(self.sup_abs, np.max(block)))  # NaN propagates
+        self._rows[0] = np.add.reduce(self._rows[: n + 1], axis=0)
+        self.n_paths += n
+
+    def report(self, meta: dict) -> DiscrepancyReport:
+        return DiscrepancyReport(
+            per_node_mean_abs=self._rows[0] / self.n_paths,
+            sup_abs=self.sup_abs,
+            dt=self.grid.dt,
+            meta={"n_paths": self.n_paths, **meta},
+        )
+
+
 def compare(a: PathEnsemble, b: PathEnsemble, meta: dict | None = None) -> DiscrepancyReport:
     """Node-resolved discrepancy statistics between two ensembles.
+
+    The paths are compared one ``_parallel.path_blocks`` block at a time
+    (``DiscrepancySums``), so no temporary is larger than a block.
 
     Raises:
       DimensionMismatchError: mismatched shapes or grids.
@@ -346,16 +394,10 @@ def compare(a: PathEnsemble, b: PathEnsemble, meta: dict | None = None) -> Discr
             expected=a.values.shape,
             got=b.values.shape,
         )
-    # not node_magnitudes: inline, numpy squares the temporary difference in place
-    diff = np.sqrt(np.sum((a.values - b.values) ** 2, axis=-1))
-    info = {"dim": a.dim, "n_paths": a.n_paths}
-    info.update(meta or {})
-    return DiscrepancyReport(
-        per_node_mean_abs=np.mean(diff, axis=0),
-        sup_abs=float(np.max(diff)) if diff.size else 0.0,
-        dt=a.grid.dt,
-        meta=info,
-    )
+    sums = DiscrepancySums(a.grid)
+    for start, stop in path_blocks(a.n_paths, a.values.shape[1] * a.dim):
+        sums.add(a.values[start:stop], b.values[start:stop])
+    return sums.report({"dim": a.dim, **(meta or {})})
 
 
 def smoothing_bound_factor(beta: float, r: float, horizon: float) -> float:

@@ -13,8 +13,11 @@ block of a run of dense constant atoms, or of time-varying atoms with
 dim_U > 1, is filled by one batched ``matmul``, and each side adds the atoms
 with one ``np.add.reduce``.  The atoms are reduced left to right on both
 sides, with the bytes of one ``integrand_products`` call per atom, and no
-temporary holds more than max(P, dim_U) * N * dim_H values, whatever the
-number of atoms: one atom's products, or the matrices of at most N atoms.
+temporary of the walk holds more than max(P, dim_U) * N * dim_H values,
+whatever the number of atoms: one atom's products, or the matrices of at
+most N atoms.  The family itself is not within that bound: a family built
+by ``IntegrandSpec.scaled`` from a time-varying integrand holds one scaled
+node table per atom, n_atoms * (N + 1) * dim_H * dim_U values.
 """
 
 from __future__ import annotations

@@ -588,6 +588,12 @@ def test_constants_refuses_betas_that_check_nothing_or_leave_0_1(tmp_path, capsy
             {"options": {"refinement_factors": [3, 1]}}, "'refinement_factors'", id="factor-3-of-8"
         ),
         pytest.param(
+            # N = 4 twice: two resolutions under one table key, and a monotone check that fails
+            {"options": {"refinement_factors": [2, 2, 1]}},
+            "'refinement_factors'",
+            id="repeated-factor",
+        ),
+        pytest.param(
             {"integrand": {"kind": "time_varying", "operators": [_OP] * 8}},
             "constant integrand",
             id="time-varying",

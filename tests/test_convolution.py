@@ -30,12 +30,13 @@ from stochconv import (
     sample_increments,
     semigroup_eval,
 )
-from stochconv import _parallel
-from stochconv._parallel import BLOCK_ELEMENTS, path_blocks
+from stochconv import _parallel, convolution
+from stochconv._parallel import BLOCK_ELEMENTS
 from stochconv.convolution import (
     _fft_length,
     _lag_convolve,
     beta_integral,
+    direct_recursion,
     left_lr_norm,
     singular_weights,
     smoothing_bound_factor,
@@ -230,11 +231,18 @@ def test_direct_convolution_in_blocks_with_a_short_last_one_is_bitwise_the_oracl
     else:
         sg = SemigroupSpec(space_h, rates=rng.uniform(0.0, 5.0, dim_h))
     req = ConvolutionRequest(phi, sg, noise)
-    with mock.patch.object(_parallel, "BLOCK_ELEMENTS", 4 * 5 * dim_h):
-        blocks = path_blocks(37, 5 * dim_h)
+    seen = []
+
+    def spy(step, n_paths, dim, blocks, fill):
+        seen.append(list(blocks))
+        return direct_recursion(step, n_paths, dim, blocks, fill)
+
+    with mock.patch.object(_parallel, "BLOCK_ELEMENTS", 4 * 5 * dim_h), \
+            mock.patch.object(convolution, "direct_recursion", spy):
         fast = direct_convolution(req).values
     assert fast.tobytes() == _stepwise_direct_convolution(req).tobytes()
-    assert len(blocks) == 10 and blocks[-1] == (36, 37)
+    assert len(seen) == 1  # four steps a block, and a short last one
+    assert seen[0] == [(start, min(start + 4, 37)) for start in range(0, 37, 4)]
 
 
 @pytest.mark.parametrize("dims, n_paths, n_steps", [((4, 4), 200, 2000), ((2, 1), 500, 3000)])
