@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hilbert import DenseOperator, HilbertSpec, Operator, SemigroupSpec, SpectralOperator
-from .ito import IntegrandSpec
+from .ito import TIME_VARYING, IntegrandSpec, _Fresh
 from .noise import QWienerSpec, TimeGrid
 
 __all__ = ["ScenarioConfig", "EXPERIMENTS", "load_config", "canonical_hash"]
@@ -85,9 +85,17 @@ def _numbers(data: dict, key: str, where: str) -> np.ndarray:
     return _finite(_require(data, key, list, where), key, where)
 
 
+def _is_rows(rows, n_rows: int, n_cols: int) -> bool:
+    """True for a list of n_rows lists of n_cols entries each."""
+    return (
+        isinstance(rows, list) and len(rows) == n_rows
+        and all(isinstance(row, list) and len(row) == n_cols for row in rows)
+    )
+
+
 def _matrix(data: dict, key: str, n_rows: int, n_cols: int, where: str) -> np.ndarray:
     rows = _require(data, key, list, where)
-    if len(rows) != n_rows or any(not isinstance(row, list) or len(row) != n_cols for row in rows):
+    if not _is_rows(rows, n_rows, n_cols):
         raise ConfigError(f"key {key!r} in {where} must be a {n_rows} x {n_cols} list of rows")
     return _finite([v for row in rows for v in row], key, where).reshape(n_rows, n_cols)
 
@@ -172,11 +180,36 @@ def _integrand(data: dict, space_u: HilbertSpec, space_h: HilbertSpec, n_steps: 
                 f"key 'operators' in integrand has {len(ops)} entries; "
                 f"time_varying needs one per step, grid.N={n_steps}"
             )
-        return IntegrandSpec.from_operators([_operator(op, space_u, space_h) for op in ops])
+        mats = _node_table(ops, space_u, space_h).view(_Fresh)
+        return IntegrandSpec(space_u, space_h, TIME_VARYING, node_matrices=mats)
     raise ConfigError(f"integrand kind must be constant or time_varying, got {kind!r}")
 
 
-def _operator(data: dict, space_u: HilbertSpec, space_h: HilbertSpec) -> Operator:
+def _node_table(ops: list, space_u: HilbertSpec, space_h: HilbertSpec) -> np.ndarray:
+    """The (n, dim_H, dim_U) matrices of a time-varying integrand's operator objects.
+
+    When every node is dense with rows of the right shape, the only error left
+    is a bad number, whose message names no node, so all rows are checked and
+    converted at once.  Any other table is checked node by node, in order, and
+    the first bad node raises the error it raises as a constant operator; a
+    diagonal node enters as its diagonal matrix.
+    """
+    shape = (len(ops), space_h.dim, space_u.dim)
+    if all(op.get("kind") == "dense" and _is_rows(op.get("rows"), *shape[1:]) for op in ops):
+        flat = [v for op in ops for row in op["rows"] for v in row]
+        return _finite(flat, "rows", "operator").reshape(shape)
+    mats = np.zeros(shape)
+    for op, mat in zip(ops, mats):
+        kind, values = _operator_values(op, space_u, space_h)
+        if kind == "diagonal":
+            np.fill_diagonal(mat, values)
+        else:
+            mat[:] = values
+    return mats
+
+
+def _operator_values(data: dict, space_u: HilbertSpec, space_h: HilbertSpec):
+    """The checked kind of an operator object and its eigenvalues or (dim_H, dim_U) rows."""
     kind = _require(data, "kind", str, "operator")
     if kind == "diagonal":
         eig = _require(data, "eigenvalues", list, "operator")
@@ -184,11 +217,16 @@ def _operator(data: dict, space_u: HilbertSpec, space_h: HilbertSpec) -> Operato
             raise ConfigError("diagonal operator requires dims.U == dims.H")
         if len(eig) != space_u.dim:
             raise ConfigError(f"operator eigenvalue count {len(eig)} must equal {space_u.dim}")
-        return SpectralOperator(space_u, space_h, _finite(eig, "eigenvalues", "operator"))
+        return kind, _finite(eig, "eigenvalues", "operator")
     if kind == "dense":
-        rows = _matrix(data, "rows", space_h.dim, space_u.dim, "operator")
-        return DenseOperator(space_u, space_h, rows)
+        return kind, _matrix(data, "rows", space_h.dim, space_u.dim, "operator")
     raise ConfigError(f"operator kind must be diagonal or dense, got {kind!r}")
+
+
+def _operator(data: dict, space_u: HilbertSpec, space_h: HilbertSpec) -> Operator:
+    kind, values = _operator_values(data, space_u, space_h)
+    build = SpectralOperator if kind == "diagonal" else DenseOperator
+    return build(space_u, space_h, values)
 
 
 def _noise_spec(data: dict, space_u: HilbertSpec) -> QWienerSpec:

@@ -229,7 +229,7 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
         weights = _numbers({"weights": [1.0] * len(atoms), **spec}, "weights", "options.family")
         if atoms.shape != weights.shape:
             raise ConfigError("family atoms and weights must align")
-    return FubiniFamily.from_factory(atoms, weights, lambda y: cfg.integrand.scaled(float(y)))
+    return FubiniFamily(tuple(atoms), weights, (cfg.integrand,) * len(atoms), scales=atoms)
 
 
 def _run_fubini(cfg: ScenarioConfig):

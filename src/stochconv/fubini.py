@@ -5,19 +5,25 @@ For a finite weighted family of integrands the two pipelines
 * mix first:  integrate the weighted sum of the integrands,
 * mix last:   integrate each member, then form the weighted sum,
 
-agree up to floating-point reassociation of a finite double sum.  One walk
-over the time steps builds both sides: each (atom, step) product
-w_j * (g_j(t_i) dW_i) is filled once and feeds both reduction orders (atoms
-inner vs. atoms outer), so a single-atom family commutes bitwise.  Each step
-block of a run of dense constant atoms, or of time-varying atoms with
-dim_U > 1, is filled by one batched ``matmul``, and each side adds the atoms
-with one ``np.add.reduce``.  The atoms are reduced left to right on both
-sides, with the bytes of one ``integrand_products`` call per atom, and no
-temporary of the walk holds more than max(P, dim_U) * N * dim_H values,
-whatever the number of atoms: one atom's products, or the matrices of at
-most N atoms.  The family itself is not within that bound: a family built
-by ``IntegrandSpec.scaled`` from a time-varying integrand holds one scaled
-node table per atom, n_atoms * (N + 1) * dim_H * dim_U values.
+agree up to floating-point reassociation of a finite double sum.  Member j
+of a family is s_j * g_j: a scale times an integrand.  One walk over the
+time steps builds both sides: each (atom, step) product
+w_j * ((s_j g_j)(t_i) dW_i) is filled once and feeds both reduction orders
+(atoms inner vs. atoms outer), so a single-atom family commutes bitwise.
+A run of dense constant atoms keeps one stacked copy of its entries times
+their scales; a run of time-varying atoms stacks one step block of its
+matrices at a time and multiplies that stack by the scales in place.  Each
+step block of a dense run, or of a time-varying run with dim_U > 1, is then
+filled by one batched ``matmul``, and each side adds the atoms with one
+``np.add.reduce``.  The atoms are reduced left to right on both sides, with
+the bytes of one ``integrand_products`` call per atom on
+``IntegrandSpec.scaled(s_j)``.
+
+Memory: the scaled family that ``experiments`` builds from a config holds
+one integrand and n_atoms scales, so a time-varying node table is stored
+once, whatever the number of atoms.  No temporary of the walk holds more
+than max(P, dim_U) * N * dim_H values, whatever the number of atoms: one
+atom's products, or the scaled matrices of at most N atoms.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .errors import DimensionMismatchError, StochConvError, frozen_array
 from .hilbert import DenseOperator
 from .ito import (
     TIME_VARYING, IntegrandSpec, PathEnsemble, check_compatible, fill_products, step_matrices,
+    step_products,
 )
 from .noise import NoiseEnsemble
 
@@ -45,11 +52,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FubiniFamily:
-    """Finitely many parameter atoms, weights and per-atom integrands."""
+    """Finitely many parameter atoms, weights and per-atom integrands.
+
+    Member j is ``scales[j]`` times ``integrands[j]``: a scaled family such as
+    y * Phi holds Phi once per atom by reference, and its node table once.
+    The scales default to 1.0, which leaves every member as given.
+    """
 
     atoms: tuple
     weights: np.ndarray
     integrands: tuple
+    scales: np.ndarray | None = None
 
     def __post_init__(self):
         w = frozen_array(self.weights, "weights", nonnegative=True)
@@ -61,6 +74,12 @@ class FubiniFamily:
                 "atoms, weights and integrands must align",
                 expected=len(self.atoms),
                 got=(w.shape, len(self.integrands)),
+            )
+        scales = np.ones(w.size) if self.scales is None else frozen_array(self.scales, "scales")
+        object.__setattr__(self, "scales", scales)
+        if scales.shape != w.shape:
+            raise DimensionMismatchError(
+                "scales must hold one value per atom", expected=w.shape, got=scales.shape
             )
         if w.size == 0:
             raise StochConvError("family needs at least one atom")
@@ -91,64 +110,73 @@ def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
 
 
 def _run_kind(phi: IntegrandSpec) -> str | None:
-    """The kind of atom run that ``_fill_run`` fills with one call, or None for ``fill_products``.
+    """The kind of atom run that ``_fill_run`` fills from stacked matrices, or None.
 
-    Dense constants and time-varying atoms with dim_U > 1 join runs; spectral
-    constants, adapted atoms and time-varying atoms with dim_U == 1 go through
-    ``fill_products``.
+    Dense constants and time-varying atoms join runs; spectral constants and
+    adapted atoms (kind None) go through ``fill_products`` one by one.
     """
     if phi.kind == TIME_VARYING:
-        return TIME_VARYING if phi.domain.dim > 1 else None
+        return TIME_VARYING
     return "dense" if isinstance(phi.constant, DenseOperator) else None
 
 
-def _atom_runs(phis: tuple, n_steps: int, size: int) -> list[tuple]:
-    """Maximal ranges (start, stop, kind, operand) of consecutive atoms of one ``_run_kind``.
+def _atom_runs(family: FubiniFamily, a0: int, a1: int, n_steps: int, size: int) -> list[tuple]:
+    """Maximal ranges (start, stop, kind, operand) of consecutive atoms a0 <= j < a1 of one kind.
 
-    The operand holds a dense run's stacked (transposed) entries, or, for
-    time-varying atoms, their step matrices and a (size, atoms, dim_H, dim_U)
-    buffer for one step block of them.
+    The operand holds a dense run's stacked (transposed) entries times their
+    scales; for time-varying atoms, their step matrices, their scales and a
+    (size, atoms, dim_H, dim_U) buffer for one step block of them; for kind
+    None, each atom's ``IntegrandSpec.scaled``, a constant operator or a
+    callback wrapper.  No operand holds a scaled node table.
     """
-    kinds = [_run_kind(phi) for phi in phis]
-    runs, start = [], 0
-    for stop in range(1, len(phis) + 1):
-        if stop < len(phis) and kinds[stop] == kinds[start]:
+    phis, scales = family.integrands, family.scales
+    runs, start = [], a0
+    for stop in range(a0 + 1, a1 + 1):
+        kind = _run_kind(phis[start])
+        if stop < a1 and _run_kind(phis[stop]) == kind:
             continue
-        run, kind = phis[start:stop], kinds[start]
+        run, factors = phis[start:stop], scales[start:stop, None, None]
         if kind == TIME_VARYING:
             mats = [step_matrices(phi, n_steps) for phi in run]
-            operand = mats, np.empty((size, len(run)) + mats[0].shape[1:])
+            operand = mats, factors, np.empty((size, len(run)) + mats[0].shape[1:])
         elif kind == "dense":
-            operand = np.stack([phi.constant.entries for phi in run]).swapaxes(1, 2)
+            entries = np.stack([phi.constant.entries for phi in run])
+            entries *= factors
+            operand = entries.swapaxes(1, 2)
         else:
-            operand = None
+            operand = [phi.scaled(float(s)) for phi, s in zip(run, scales[start:stop])]
         runs.append((start, stop, kind, operand))
         start = stop
     return runs
 
 
-def _fill_run(
-    phis: tuple, kind: str | None, operand, inc: np.ndarray, start: int, stop: int,
-    rows: np.ndarray,
-):
-    """Phi_{t_i} dW_i of a run of atoms, start <= i < stop, into rows (steps, atoms, paths, dim_H).
+def _fill_run(run: tuple, inc: np.ndarray, start: int, stop: int, rows: np.ndarray):
+    """(s_j Phi_j)_{t_i} dW_i of a run's atoms j, start <= i < stop, into rows.
 
-    One ``matmul`` fills the run: each (step, atom) product is the BLAS call,
-    (paths, dim_U) by (dim_U, dim_H), that ``fill_products`` makes for that atom
-    and step, so the bytes are the same.  Atoms of kind None go through
-    ``fill_products`` one by one.
+    ``rows`` is a time-major block (steps, atoms, paths, dim_H).  Each
+    (step, atom) product is the call that ``fill_products`` makes for that
+    step on ``IntegrandSpec.scaled(s_j)``, whose matrices are s_j times the
+    atom's, so the bytes are the same: one ``matmul`` fills a dense run or a
+    time-varying run with dim_U > 1, and ``step_products`` fills the atoms of
+    a time-varying run with dim_U == 1 one by one.
     """
+    _, _, kind, operand = run
     if kind is None:
-        for j, phi in enumerate(phis):
+        for j, phi in enumerate(operand):
             fill_products(phi, inc, start, stop, rows[:, j].swapaxes(0, 1))
         return
     steps = inc[:, start:stop].swapaxes(0, 1)[:, None]  # (steps, 1, paths, dim_U)
     if kind == "dense":
         np.matmul(steps, operand, out=rows)
         return
-    mats, buffer = operand
+    mats, factors, buffer = operand
     stacked = np.stack([m[start:stop] for m in mats], axis=1, out=buffer[: stop - start])
-    np.matmul(steps, stacked.swapaxes(2, 3), out=rows)
+    stacked *= factors
+    if stacked.shape[3] > 1:
+        np.matmul(steps, stacked.swapaxes(2, 3), out=rows)
+        return
+    for j in range(stacked.shape[1]):
+        step_products(stacked[:, j], inc[:, start:stop], out=rows[:, j].swapaxes(0, 1))
 
 
 def _add_atoms(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray, onto_out: bool):
@@ -171,37 +199,37 @@ def _add_atoms(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray, onto_out: b
 
 
 def _walk_steps(
-    phis: tuple, weights: np.ndarray, inc: np.ndarray, first: np.ndarray, last: np.ndarray,
-    onto: bool,
+    family: FubiniFamily, a0: int, a1: int, inc: np.ndarray, first: np.ndarray, last: np.ndarray
 ):
-    """Add one atom group's scaled products into ``first`` and its integrals into ``last``.
+    """Add the products of the atoms a0 <= j < a1 into ``first`` and their integrals into ``last``.
 
     The steps go in blocks of max(1, N // g) for g atoms, so the time-major block
     (steps, g, paths, dim_H) and the atoms' running prefix sums (g, paths, dim_H)
     hold at most P * N * dim_H values each, and a run's stacked matrices, dense
     or for one block of time-varying atoms, at most dim_U * N * dim_H.  Each
-    block takes one ``_fill_run`` call per run of atoms.  With ``onto`` both
-    sides add onto what earlier atoms left there.
+    block takes one ``_fill_run`` call per run of atoms.  After the first group
+    both sides add onto what earlier atoms left there.
     """
     n_paths, n_steps, _ = inc.shape
-    size = max(1, n_steps // len(phis))
-    runs = _atom_runs(phis, n_steps, size)
-    block = np.empty((size, len(phis), n_paths, first.shape[2]))
+    size = max(1, n_steps // (a1 - a0))
+    runs = _atom_runs(family, a0, a1, n_steps, size)
+    weights = family.weights[a0:a1, None, None]
+    block = np.empty((size, a1 - a0, n_paths, first.shape[2]))
     nodes = np.empty((size, n_paths, first.shape[2]))
     state = np.empty(block.shape[1:])  # each atom's sum over the steps so far
     for start in range(0, n_steps, size):
         stop = min(start + size, n_steps)
         rows = block[: stop - start]
-        for a, b, kind, operand in runs:
-            _fill_run(phis[a:b], kind, operand, inc, start, stop, rows[:, a:b])
-        rows *= weights[:, None, None]
-        _add_atoms(rows, nodes[: stop - start], first[:, start + 1 : stop + 1], onto)
+        for run in runs:
+            _fill_run(run, inc, start, stop, rows[:, run[0] - a0 : run[1] - a0])
+        rows *= weights
+        _add_atoms(rows, nodes[: stop - start], first[:, start + 1 : stop + 1], a0 > 0)
         if start:
             rows[0] += state
         for i in range(1, stop - start):
             rows[i] += rows[i - 1]
         state[:] = rows[-1]
-        _add_atoms(rows, nodes[: stop - start], last[:, start + 1 : stop + 1], onto)
+        _add_atoms(rows, nodes[: stop - start], last[:, start + 1 : stop + 1], a0 > 0)
 
 
 def _both_orders(family: FubiniFamily, noise: NoiseEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
@@ -210,13 +238,13 @@ def _both_orders(family: FubiniFamily, noise: NoiseEnsemble) -> tuple[PathEnsemb
     The groups go left to right, so both sides reduce the atoms left to right;
     the mix-first products take their prefix sum over time at the end.
     """
-    phis, weights, inc = family.integrands, family.weights, noise.increments
-    check_compatible(phis[0], noise)
+    phi, inc = family.integrands[0], noise.increments
+    check_compatible(phi, noise)
     n_paths, n_steps, _ = inc.shape
-    first = np.zeros((n_paths, n_steps + 1, phis[0].codomain.dim))
+    first = np.zeros((n_paths, n_steps + 1, phi.codomain.dim))
     last = np.zeros_like(first)
     for a0, a1 in _atom_groups(family, n_steps):
-        _walk_steps(phis[a0:a1], weights[a0:a1], inc, first, last, onto=a0 > 0)
+        _walk_steps(family, a0, a1, inc, first, last)
     np.cumsum(first[:, 1:], axis=1, out=first[:, 1:])
     return PathEnsemble(first, noise.grid), PathEnsemble(last, noise.grid)
 

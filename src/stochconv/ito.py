@@ -40,7 +40,8 @@ ADAPTED = "adapted"
 class _Fresh(np.ndarray):
     """Node matrices that an ``IntegrandSpec`` builder has just made and nobody else holds.
 
-    ``IntegrandSpec`` freezes them without a copy; any other array it copies.
+    ``IntegrandSpec`` freezes them without a copy; any other array it copies.  The
+    builders are ``from_operators``, ``scaled`` and the config parser's node table.
     """
 
 

@@ -10,6 +10,7 @@ import stochconv
 from stochconv import (
     ConvolutionRequest,
     DenseOperator,
+    DimensionMismatchError,
     DiscreteFunction,
     DiscreteMeasureSpace,
     DiscrepancyReport,
@@ -58,6 +59,7 @@ FIELDS = [
     ("field magnitudes", True, lambda x: TwoParameterField(_first(x, (2, 3, 3)), GRID)),
     ("discrepancy statistics", True, lambda x: DiscrepancyReport(_first(x, 3), 1.0, 0.5)),
     ("weights", True, lambda x: FubiniFamily((0, 1), _first(x, 2), (PHI, PHI))),
+    ("scales", False, lambda x: FubiniFamily((0, 1), [1.0, 1.0], (PHI, PHI), _first(x, 2))),
 ]
 
 CASES = [
@@ -78,6 +80,20 @@ def test_every_array_field_rejects_a_bad_entry_at_construction(what, build, bad,
     build(1.0)  # the same object with a good entry is accepted
     with pytest.raises(StochConvError, match=re.escape(message)):
         build(bad)
+
+
+@pytest.mark.parametrize("scales", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0, []])
+def test_family_scales_need_one_value_per_atom(scales):
+    with pytest.raises(DimensionMismatchError, match="scales must hold one value per atom"):
+        FubiniFamily((0, 1), [1.0, 1.0], (PHI, PHI), scales)
+
+
+def test_family_scales_take_any_finite_sign_and_default_to_one():
+    family = FubiniFamily((0, 1, 2), [1.0, 1.0, 1.0], (PHI,) * 3, [-2.5, -0.0, 0.0])
+    assert family.scales.tobytes() == np.array([-2.5, -0.0, 0.0]).tobytes()
+    assert not family.scales.flags.writeable
+    assert np.array_equal(FubiniFamily((0, 1), [1.0, 1.0], (PHI, PHI)).scales, [1.0, 1.0])
+    assert np.array_equal(FubiniFamily.from_factory((0, 1), [1.0, 1.0], lambda y: PHI).scales, [1, 1])
 
 
 def test_a_nan_eigenvalue_fails_before_any_noise_is_sampled(monkeypatch):

@@ -23,7 +23,7 @@ from stochconv import (
     ito_then_integrate,
     sample_increments,
 )
-from stochconv import fubini
+from stochconv import experiments, fubini
 from stochconv.config import parse_config
 from stochconv.convolution import compare
 from stochconv.experiments import run_experiment
@@ -194,13 +194,14 @@ def test_family_validation():
 
 
 def test_each_atom_step_product_is_filled_once(tmp_path, monkeypatch):
-    # one walk over the steps builds both sides: A * N (atom, step) products in all
+    # one walk over the steps builds both sides: A * N (atom, step) products in all; a
+    # scaled family shares one integrand object, so atoms are counted by index
     filled = []
     original = fubini._fill_run
 
-    def counting(phis, kind, operand, inc, start, stop, rows):
-        filled.extend((id(phi), i) for phi in phis for i in range(start, stop))
-        return original(phis, kind, operand, inc, start, stop, rows)
+    def counting(run, inc, start, stop, rows):
+        filled.extend((j, i) for j in range(run[0], run[1]) for i in range(start, stop))
+        return original(run, inc, start, stop, rows)
 
     monkeypatch.setattr(fubini, "_fill_run", counting)
     data = json.loads((CONFIG_DIR / "fubini_midpoint.json").read_text())
@@ -210,14 +211,14 @@ def test_each_atom_step_product_is_filled_once(tmp_path, monkeypatch):
     assert ok
     n_atoms = data["options"]["family"]["quadrature"]["n"]
     assert len(filled) == len(set(filled)) == n_atoms * cfg.grid.n_steps
-    assert len({phi for phi, _ in filled}) == n_atoms
+    assert len({j for j, _ in filled}) == n_atoms
 
     filled.clear()  # more atoms than steps: several atom groups, one step per block
     noise = _noise(dim=2, n_steps=5, n_paths=4, seed=5)
     base = _constant_integrand(dim=2)
     family = FubiniFamily.from_factory(np.arange(13) + 1.0, [0.2] * 13, base.scaled)
     fubini_report(family, noise)
-    assert sorted(filled) == sorted((id(phi), i) for phi in family.integrands for i in range(5))
+    assert sorted(filled) == [(j, i) for j in range(13) for i in range(5)]
 
 
 def test_both_orders_memory_does_not_grow_with_the_atoms():
@@ -473,3 +474,98 @@ def test_batched_fill_is_bitwise_the_per_atom_fill(
     # bytes, not ==: a -0.0 must stay -0.0
     assert lhs.values.tobytes() == first.tobytes()
     assert rhs.values.tobytes() == last.tobytes()
+
+
+# ----------------------------- oracle: one scaled integrand object per atom
+
+
+SCALES = st.sampled_from([0.0, -0.0, -1.0, -2.5, 1.0, 0.3]) | st.floats(-4.0, 4.0)
+
+
+@given(
+    dim_u=st.integers(1, 4),
+    dim_h=st.integers(1, 4),
+    n_steps=st.integers(1, 12),
+    n_paths=st.integers(1, 4),
+    kind=st.sampled_from(KINDS),
+    scales=st.lists(SCALES, min_size=1, max_size=20),
+    zero_weights=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every kind, with dim_U == 1 (a time-varying run filled atom by atom) and dim_U > 1
+@example(dim_u=2, dim_h=2, n_steps=6, n_paths=3, kind="spectral", scales=[0.5, -0.0, -2.0],
+         zero_weights=True, seed=1)
+@example(dim_u=3, dim_h=2, n_steps=6, n_paths=3, kind="dense", scales=[0.5, -0.0, -2.0],
+         zero_weights=True, seed=2)
+@example(dim_u=1, dim_h=3, n_steps=6, n_paths=3, kind="time_varying", scales=[0.5, -0.0, -2.0],
+         zero_weights=True, seed=3)
+@example(dim_u=3, dim_h=2, n_steps=6, n_paths=3, kind="time_varying", scales=[0.5, -0.0, -2.0],
+         zero_weights=True, seed=4)
+@example(dim_u=2, dim_h=3, n_steps=6, n_paths=3, kind="adapted", scales=[0.5, -0.0, -2.0],
+         zero_weights=True, seed=5)
+# P * dim_H == 1, and more atoms than steps: several atom groups
+@example(dim_u=1, dim_h=1, n_steps=4, n_paths=1, kind="time_varying",
+         scales=[1.0, -0.0, 0.0, -3.0, 2.0, 0.5, -0.5, 4.0, 0.0, -1.0, 1.5], zero_weights=True,
+         seed=6)
+@example(dim_u=3, dim_h=2, n_steps=2, n_paths=2, kind="time_varying",
+         scales=[1.0, -0.0, 0.0, -3.0, 2.0, 0.5, -0.5], zero_weights=False, seed=7)
+@settings(max_examples=300, deadline=None)
+def test_a_scaled_family_is_bitwise_one_scaled_integrand_per_atom(
+    dim_u, dim_h, n_steps, n_paths, kind, scales, zero_weights, seed
+):
+    # the oracle is the family of IntegrandSpec.scaled copies, one per atom
+    if kind == "spectral" and dim_u != dim_h:
+        kind = "dense"
+    rng = np.random.default_rng(seed)
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
+    base = _random_member(rng, space_u, space_h, n_steps, kind, zeros=True)
+    weights = rng.uniform(0.0, 1.0, len(scales))
+    if zero_weights:
+        weights[rng.random(len(scales)) < 0.3] = 0.0
+    shared = FubiniFamily(tuple(scales), weights, (base,) * len(scales), scales)
+    copies = FubiniFamily.from_factory(scales, weights, base.scaled)
+    noise = _noise(dim=dim_u, n_steps=n_steps, n_paths=n_paths, seed=seed)
+    for lhs, rhs in zip(fubini._both_orders(shared, noise), fubini._both_orders(copies, noise)):
+        assert lhs.values.tobytes() == rhs.values.tobytes()
+
+
+def test_a_scaled_time_varying_family_holds_one_node_table():
+    # 64 atoms of y * Phi for a time-varying Phi (8 x 8 at 201 nodes): the family holds
+    # Phi's node table once (a copy per atom is 6.6 MB), and a run adds the noise, the two
+    # sides and the walk's temporaries: the time-major block, the prefix-sum state with
+    # the node scratch, and one step block's stacked matrices, each within
+    # max(P, dim_U) * (N + 1) * dim_H values
+    n_paths, n_steps, dim, n_atoms = 16, 200, 8, 64
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(-1.0, 1.0, size=(n_steps + 1, dim, dim)).round(12).tolist()
+    data = {
+        "experiment": "fubini",
+        "dims": {"U": dim, "H": dim},
+        "grid": {"T": 1.0, "N": n_steps},
+        "semigroup": {"kind": "diagonal", "rates": [0.0] * dim},
+        "q_eigenvalues": [1.0 / (k + 1) for k in range(dim)],
+        "integrand": {"kind": "time_varying",
+                      "operators": [{"kind": "dense", "rows": r} for r in rows]},
+        "exponents": {"p": 2.0, "q": 2.0, "r": 4.0},
+        "beta": 0.3,
+        "seed": 12,
+        "n_paths": n_paths,
+        "options": {"family": {"quadrature": {"n": n_atoms, "interval": [0.0, 1.0]}}},
+    }
+    cfg = parse_config(data)
+    experiments._run_fubini(cfg)  # warm-up: imports and first-call caches
+    tracemalloc.start()
+    try:
+        family = experiments._build_family(cfg)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        noise = experiments._sample_noise(cfg)
+        fubini_report(family, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert family.n_atoms == n_atoms
+    assert built <= 4096 + 256 * n_atoms
+    side = 8 * n_paths * (n_steps + 1) * dim
+    block = 8 * max(n_paths, dim) * (n_steps + 1) * dim
+    assert peak <= noise.increments.nbytes + 2 * side + 3 * block + 64 * 1024

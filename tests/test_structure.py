@@ -167,9 +167,9 @@ def test_fubini_tv_fills_each_step_block_with_one_products_call(monkeypatch):
     family, noise = experiments._build_family(cfg), experiments._sample_noise(cfg)
     calls, original = [], fubini._fill_run
 
-    def counting(phis, kind, operand, inc, start, stop, rows):
-        calls.append((len(phis), kind, start, stop))
-        return original(phis, kind, operand, inc, start, stop, rows)
+    def counting(run, inc, start, stop, rows):
+        calls.append((run[1] - run[0], run[2], start, stop))
+        return original(run, inc, start, stop, rows)
 
     def alone(*args):
         raise AssertionError("an atom was filled on its own")
