@@ -85,17 +85,9 @@ def _numbers(data: dict, key: str, where: str) -> np.ndarray:
     return _finite(_require(data, key, list, where), key, where)
 
 
-def _is_rows(rows, n_rows: int, n_cols: int) -> bool:
-    """True for a list of n_rows lists of n_cols entries each."""
-    return (
-        isinstance(rows, list) and len(rows) == n_rows
-        and all(isinstance(row, list) and len(row) == n_cols for row in rows)
-    )
-
-
 def _matrix(data: dict, key: str, n_rows: int, n_cols: int, where: str) -> np.ndarray:
     rows = _require(data, key, list, where)
-    if not _is_rows(rows, n_rows, n_cols):
+    if len(rows) != n_rows or any(not isinstance(row, list) or len(row) != n_cols for row in rows):
         raise ConfigError(f"key {key!r} in {where} must be a {n_rows} x {n_cols} list of rows")
     return _finite([v for row in rows for v in row], key, where).reshape(n_rows, n_cols)
 
@@ -188,17 +180,11 @@ def _integrand(data: dict, space_u: HilbertSpec, space_h: HilbertSpec, n_steps: 
 def _node_table(ops: list, space_u: HilbertSpec, space_h: HilbertSpec) -> np.ndarray:
     """The (n, dim_H, dim_U) matrices of a time-varying integrand's operator objects.
 
-    When every node is dense with rows of the right shape, the only error left
-    is a bad number, whose message names no node, so all rows are checked and
-    converted at once.  Any other table is checked node by node, in order, and
-    the first bad node raises the error it raises as a constant operator; a
+    The nodes are checked one by one, in order, straight into one array; the
+    first bad node raises the error it raises as a constant operator, and a
     diagonal node enters as its diagonal matrix.
     """
-    shape = (len(ops), space_h.dim, space_u.dim)
-    if all(op.get("kind") == "dense" and _is_rows(op.get("rows"), *shape[1:]) for op in ops):
-        flat = [v for op in ops for row in op["rows"] for v in row]
-        return _finite(flat, "rows", "operator").reshape(shape)
-    mats = np.zeros(shape)
+    mats = np.zeros((len(ops), space_h.dim, space_u.dim))
     for op, mat in zip(ops, mats):
         kind, values = _operator_values(op, space_u, space_h)
         if kind == "diagonal":

@@ -126,8 +126,9 @@ def _atom_runs(family: FubiniFamily, a0: int, a1: int, n_steps: int, size: int) 
     The operand holds a dense run's stacked (transposed) entries times their
     scales; for time-varying atoms, their step matrices, their scales and a
     (size, atoms, dim_H, dim_U) buffer for one step block of them; for kind
-    None, each atom's ``IntegrandSpec.scaled``, a constant operator or a
-    callback wrapper.  No operand holds a scaled node table.
+    None, each atom's ``IntegrandSpec.scaled``: a constant operator, or a
+    callback wrapper (the atom itself at a scale of 1.0).  No operand holds a
+    scaled node table.
     """
     phis, scales = family.integrands, family.scales
     runs, start = [], a0

@@ -101,7 +101,13 @@ class IntegrandSpec:
         return cls(domain, codomain, ADAPTED, callback=cb)
 
     def scaled(self, factor: float) -> "IntegrandSpec":
-        """The integrand pointwise multiplied by a scalar."""
+        """The integrand pointwise multiplied by a scalar.
+
+        A factor of 1.0 gives the integrand itself: 1.0 * x is exact, so no
+        copy or callback wrapper is made.
+        """
+        if factor == 1.0:
+            return self
         if self.kind == CONSTANT:
             return IntegrandSpec.from_constant(_scaled_operator(self.constant, factor))
         if self.kind == TIME_VARYING:

@@ -140,6 +140,19 @@ def test_adapted_matches_time_varying_when_deterministic(scalar_wiener, scalar_s
     assert np.allclose(via_callback.values, via_matrices.values, rtol=1e-14, atol=0.0)
 
 
+def test_scaling_by_one_is_the_integrand_itself(scalar_space):
+    # 1.0 * x is exact: no copy of a node table, no wrapper round a callback
+    callback = IntegrandSpec.from_callback(scalar_space, scalar_space, lambda i, inc: [[2.0]])
+    for phi in (
+        callback,
+        IntegrandSpec.from_constant(SpectralOperator(scalar_space, scalar_space, [3.0])),
+        IntegrandSpec.from_matrices(scalar_space, scalar_space, np.ones((4, 1, 1))),
+    ):
+        assert phi.scaled(1.0) is phi
+        assert phi.scaled(-1.0) is not phi
+    assert callback.scaled(-1.0).callback(0, None).tolist() == [[-2.0]]
+
+
 def test_adapted_probe_catches_future_peeking(scalar_wiener, scalar_space):
     def cheater(i, increments):
         # reads the step-i increment, which is not yet known at node i
