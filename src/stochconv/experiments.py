@@ -22,7 +22,7 @@ from ._parallel import path_blocks
 from .config import (
     ScenarioConfig, _is_finite, _number, _numbers, _positive_int, _positive_ints, _require,
 )
-from .errors import ConfigError
+from .errors import ConfigError, StochConvError
 from .fubini import FubiniFamily, fubini_report
 from .hilbert import SpectralOperator, apply_operator, semigroup_eval
 from .ito import export_paths_csv, path_sup_norms
@@ -504,6 +504,11 @@ def run_convolve(cfg: ScenarioConfig, method: str, out_path: str, check: bool):
         raise ConfigError(f"method must be direct, factorized or both, got {method!r}")
     if method != "direct":  # before any noise is sampled
         conv.check_admissible(cfg.beta, cfg.r)
+    folder = os.path.dirname(out_path) or "."
+    if not os.path.isdir(folder):  # so is the path: the writer opens it after both convolutions
+        raise StochConvError(f"cannot write {out_path!r}: {folder!r} is not a directory")
+    if os.path.isdir(out_path):
+        raise StochConvError(f"cannot write {out_path!r}: it is a directory")
     request = _request(cfg, _sample_noise(cfg))
     outputs = {}
     ok = True

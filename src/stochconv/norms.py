@@ -10,8 +10,9 @@ multinomial bootstrap over paths (200 resamples by default).
 
 The singular-kernel family (t_k - s_i)^(-beta) S(t_k - s_i) Phi_i, i < k, comes
 from one set of factors (``_slice_terms``).  The field reads it slice by slice; the
-Ito-operator battery walks the steps once for all open slices, holding running sums
-(N, paths, dim_H), running maxima (N, paths) and one block of products.
+Ito-operator battery walks the steps once for all open slices, applying the kernel
+table w_j S(j dt) to y_i = Phi_i dW_i, and holds slice-major running sums
+(N, dim_H, paths), running maxima (N, paths) and one block of products.
 """
 
 from __future__ import annotations
@@ -138,27 +139,29 @@ def estimate_lpqr(
 def _slice_terms(phi, semigroup: SemigroupSpec, grid: TimeGrid, beta: float):
     """Factors of the pair matrices w_j S(j dt) Phi_i of the singular slices, lag j = k - i.
 
-    Returns the weights w_j = (j dt)^(-beta) at index j - 1 (j = 1..N), the lag matrices
-    S(j dt) at index j (j = 0..N) and the step matrices Phi_i (i < N).
+    Returns the weights w_j = (j dt)^(-beta) at index j - 1 (j = 1..N), the lag table
+    S(j dt) at index j (j = 0..N; diagonal rows (N + 1, dim_H) or dense matrices
+    (N + 1, dim_H, dim_H), as ``hilbert.lag_table`` gives it) and the step matrices
+    Phi_i (i < N).
     """
     n_steps, dt = grid.n_steps, grid.dt
     weights = singular_weights(beta, dt, n_steps)
-    nodes = step_matrices(phi, n_steps)
-    lag_mats = lag_table(semigroup, dt, n_steps)
-    if lag_mats.ndim == 2:  # diagonal rows onto the diagonal of d x d matrices
-        lag_mats = np.stack([np.diag(row) for row in lag_mats])
-    return weights, lag_mats, nodes
+    return weights, lag_table(semigroup, dt, n_steps), step_matrices(phi, n_steps)
 
 
-def _singular_slices(weights, lag_mats, nodes, q):
+def _singular_slices(weights, lag, nodes, q):
     """The (weighted) HS norms of slices k = 1..N of the singular-kernel family.
 
     Yields, per k, hs[i] = |(t_k - s_i)^(-beta) S(t_k - s_i) Phi_i Q^(1/2)|_HS over the
     support i < k, from the ``_slice_terms`` factors and the weight eigenvalues q.
     """
     for k in range(1, nodes.shape[0] + 1):
-        # node i < k sits at lag k - i; |M Q^(1/2)|_HS^2 = sum_u q_u |M e_u|^2
-        mats = weights[k - 1 :: -1, None, None] * (lag_mats[k:0:-1] @ nodes[:k])
+        # node i < k sits at lag k - i; |M Q^(1/2)|_HS^2 = sum_u q_u |M e_u|^2.  A diagonal
+        # row scales the rows of Phi_i: each entry is the one nonzero term of the dense
+        # product, so the squares are those of diag(row) @ Phi_i
+        lags = lag[k:0:-1]
+        pairs = lags @ nodes[:k] if lags.ndim == 3 else lags[:, :, None] * nodes[:k]
+        mats = weights[k - 1 :: -1, None, None] * pairs
         yield np.sqrt(np.einsum("ihu,u->i", mats**2, q))
 
 
@@ -209,6 +212,19 @@ def deterministic_lpq_norm(
     return float((np.sum(hs**q_exponent) * grid.dt) ** (1.0 / q_exponent))
 
 
+def _kernel_products(kernel, y, out):
+    """out[l] = c_l y for a block of kernels c_l and one step's y = Phi_i dW_i, (dim_H, paths).
+
+    Diagonal rows (slices, dim_H): one einsum outer product, twice as fast as a broadcast
+    multiply.  Dense (slices, dim_H, dim_H): one (slices * dim_H, dim_H) @ (dim_H, paths)
+    gemm into the C-contiguous (slices, dim_H, paths) ``out``.
+    """
+    if kernel.ndim == 2:
+        np.einsum("lh,hp->lhp", kernel, y, out=out)
+    else:
+        np.matmul(kernel.reshape(-1, y.shape[0]), y, out=out.reshape(-1, y.shape[1]))
+
+
 def integral_norm_estimate(
     phi, semigroup: SemigroupSpec, noise: NoiseEnsemble, beta: float, q_exponent: float,
     r: float, weight: SpectralOperator | None = None,
@@ -220,13 +236,19 @@ def integral_norm_estimate(
     L^r path norm of its Ito integral to its L^q time norm (0 if every slice vanishes).
 
     One pass walks the steps i = 0..N-1 and serves the slices still open (k > i), so
-    slice k is integrated only over its support i < k.  Per block of open slices
-    (``_parallel.path_blocks`` of dim_H * paths elements per slice) it builds the pair
-    matrices w_{k-i} S((k-i) dt) Phi_i with one stacked ``matmul``, multiplies them with
-    dW_i in one ``ito.step_products`` call (one gemm per slice, shaped as in a
-    slice-by-slice pass), adds the products into the running Ito sums (N, paths, dim_H)
-    and keeps each path's largest squared magnitude (N, paths).  Every product, sum and
-    reduction is the one a slice-by-slice cumulative sum makes: the bytes are the same.
+    slice k is integrated only over its support i < k.  Step i computes y_i = Phi_i dW_i
+    once (``ito.step_products``) and applies the kernel table c_j = w_j S(j dt) of the
+    open lags j = k - i to it, one ``_kernel_products`` call per block of open slices
+    (``_parallel.path_blocks`` of dim_H * paths elements per slice).  The products go
+    into slice-major running Ito sums (N, dim_H, paths), whose coordinate rows are
+    contiguous, and each path keeps its largest squared magnitude (N, paths), the squares
+    of the rows added left to right by one einsum (which reduces a single path's
+    coordinates in its own unrolled order).  No array is larger than the sums.
+
+    The product c_j (Phi_i dW_i) associates the factors of (w_j S(j dt) Phi_i) dW_i, the
+    pair-first product of a slice-by-slice Ito integral, the other way, so the estimate
+    can differ from that integral's in the last bits; the slice time norms are the
+    ``_singular_slices`` norms of ``singular_kernel_field``, to the bit.
     """
     check_exponent("q", q_exponent)
     check_exponent("r", r)
@@ -234,7 +256,7 @@ def integral_norm_estimate(
     grid, inc = noise.grid, noise.increments
     n_paths, n_steps, dim_u = inc.shape
     dim_h = phi.codomain.dim
-    weights, lag_mats, nodes = terms = _slice_terms(phi, semigroup, grid, beta)
+    weights, lag, nodes = terms = _slice_terms(phi, semigroup, grid, beta)
     hs_row, slice_norms = np.zeros(n_steps), []
     for hs in _singular_slices(*terms, weight_eigenvalues(weight, dim_u)):
         # zero past k, as in the N-step slice: the sum keeps the N-long pairwise order
@@ -242,25 +264,25 @@ def integral_norm_estimate(
         slice_norms.append(float((np.sum(hs_row**q_exponent) * grid.dt) ** (1.0 / q_exponent)))
     if not any(slice_norms):
         return 0.0
-    sums = np.zeros((n_steps, n_paths, dim_h))  # row k - 1: the Ito sum of slice k
+    sums = np.zeros((n_steps, dim_h, n_paths))  # row k - 1: the Ito sum of slice k
     best = np.zeros((n_steps, n_paths))  # row k - 1: its largest squared magnitude so far
     _, block = path_blocks(n_steps, n_paths * dim_h)[0]
-    prods, square = np.empty((block, n_paths, dim_h)), np.empty((block, n_paths))
+    prods, square = np.empty((block, dim_h, n_paths)), np.empty((block, n_paths))
+    y = np.empty((n_paths, 1, dim_h))
+    # after the large buffers: a small array taken first from a block that an earlier stage
+    # freed can leave the sums no room there, and the heap then grows by their size
+    kernel = weights.reshape((-1,) + (1,) * (lag.ndim - 1)) * lag[1:]  # row j - 1: c_j
     for i in range(n_steps):
+        step_products(nodes[i : i + 1], inc[:, i : i + 1], out=y)
         for lo, hi in path_blocks(n_steps - i, n_paths * dim_h):  # lags lo + 1 .. hi
-            pairs = weights[lo:hi, None, None] * (lag_mats[lo + 1 : hi + 1] @ nodes[i])
             prod, sq = prods[: hi - lo], square[: hi - lo]
-            step_products(pairs, inc[:, i : i + 1], out=prod.swapaxes(0, 1))
+            _kernel_products(kernel[lo:hi], y[:, 0].T, prod)
             run, top = sums[i + lo : i + hi], best[i + lo : i + hi]
             run += prod
-            # the sum of ``ito.node_magnitudes``: np.sum adds fewer than 8 terms left to
-            # right, as these column adds do at less cost per row, and 8 or more pairwise
-            if dim_h < 8:
-                np.square(run[..., 0], out=sq)
-                for h in range(1, dim_h):
-                    sq += run[..., h] ** 2
+            if dim_h == 1:  # one term: the square alone, three times as fast as einsum
+                np.square(run[:, 0], out=sq)
             else:
-                np.sum(run**2, axis=-1, out=sq)
+                np.einsum("lhp,lhp->lp", run, run, out=sq)
             np.maximum(top, sq, out=top)
     estimate = 0.0
     for slice_norm, top in zip(slice_norms, best):

@@ -484,6 +484,30 @@ def test_convolve_into_a_missing_directory_exits_one(tmp_path, capsys):
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "place, reason",
+    [
+        ("missing/dir/paths.csv", "is not a directory"),
+        ("blocker/paths.csv", "is not a directory"),
+        ("folder", "it is a directory"),
+    ],
+)
+@pytest.mark.parametrize("method", ["direct", "factorized", "both"])
+def test_convolve_checks_its_out_path_before_sampling(tmp_path, monkeypatch, capsys, place, reason, method):
+    (tmp_path / "blocker").write_text("")
+    (tmp_path / "folder").mkdir()
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    config = _write(tmp_path, _base_config())
+    before = sorted(tmp_path.rglob("*"))
+    out = str(tmp_path / place)
+    assert main(["convolve", "--config", config, "--method", method, "--out", out]) == 1
+    err = _one_error_line(capsys)
+    assert repr(out) in err and reason in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_experiment_out_through_an_existing_file_exits_one(tmp_path, capsys, sub):
     blocker = tmp_path / "blocker"

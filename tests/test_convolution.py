@@ -76,6 +76,17 @@ def test_c_beta_point_two_closed_form():
     assert c_beta(0.2) == pytest.approx(0.187098, abs=5e-7)
 
 
+def test_a_second_c_beta_runs_no_quadrature(monkeypatch):
+    calls = []
+    quadrature = convolution.beta_integral
+    monkeypatch.setattr(convolution, "beta_integral", lambda b: calls.append(b) or quadrature(b))
+    c_beta.cache_clear()
+    first = c_beta(0.4375)
+    assert calls == [0.4375]
+    assert c_beta(0.4375) == first and calls == [0.4375]
+    assert first == 1.0 / quadrature(0.4375)
+
+
 def test_c_beta_unit_product_over_grid():
     for beta in np.linspace(0.05, 0.95, 19):
         assert abs(c_beta(float(beta)) * beta_integral(float(beta)) - 1.0) <= 1e-9

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -32,7 +33,7 @@ from stochconv import (
 from stochconv import _parallel, norms
 from stochconv.convolution import smoothing_bound_factor
 from stochconv.hilbert import lag_table, operator_matrix, semigroup_eval
-from stochconv.ito import node_magnitudes
+from stochconv.ito import node_magnitudes, step_products
 from stochconv.norms import deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field
 
 
@@ -252,19 +253,116 @@ def test_integral_norm_estimate_matches_per_pair_oracle(rng, kind):
     noise = sample_increments(QWienerSpec(space, [1.0, 0.5, 0.25]), grid, 4, 30)
     got = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
     oracle = _slice_battery_oracle(phi_mats, sg, noise, beta, q, r, weight)
-    if kind == "diagonal":
-        assert got == oracle
+    if kind == "diagonal":  # the oracle's products are the pair-first ones
+        assert abs(got - oracle) <= _reassociation_bound(
+            phi, sg, noise, beta, q, r, weight, got, oracle
+        )
     else:  # S(dt)^j against expm(j dt A): rounding only
         assert got == pytest.approx(oracle, rel=1e-12)
+
+
+def _lag_matrices(lag):
+    """A lag table as matrices: diagonal rows onto the diagonal of d x d matrices."""
+    return np.stack([np.diag(row) for row in lag]) if lag.ndim == 2 else lag
+
+
+def _slice_norms(phi, sg, noise, beta, q, weight):
+    """The battery's L^q time norms of slices k = 1..N, each summed over all N steps."""
+    grid = noise.grid
+    terms = norms._slice_terms(phi, sg, grid, beta)
+    hs_row, slice_norms = np.zeros(grid.n_steps), []
+    for hs in norms._singular_slices(*terms, norms.weight_eigenvalues(weight, phi.domain.dim)):
+        hs_row[: hs.size] = hs
+        slice_norms.append(float((np.sum(hs_row**q) * grid.dt) ** (1.0 / q)))
+    return slice_norms
+
+
+def _pair_first_battery(phi, sg, noise, beta, q, r, weight):
+    """The step pass that built the pair matrices w_j S(j dt) Phi_i and multiplied them with dW_i.
+
+    Per block of open slices it stacks the pairs with one ``matmul``, multiplies them with
+    dW_i in one ``step_products`` call (one gemm per slice), adds the products into running
+    sums (N, paths, dim_H) and sums the squares over the coordinates like
+    ``ito.node_magnitudes``: column adds below 8 coordinates, ``np.sum`` from 8 on.
+    """
+    inc = noise.increments
+    n_paths, n_steps, _ = inc.shape
+    dim_h = phi.codomain.dim
+    slice_norms = _slice_norms(phi, sg, noise, beta, q, weight)
+    if not any(slice_norms):
+        return 0.0
+    weights, lag_mats, nodes = norms._slice_terms(phi, sg, noise.grid, beta)
+    lag_mats = _lag_matrices(lag_mats)
+    sums, best = np.zeros((n_steps, n_paths, dim_h)), np.zeros((n_steps, n_paths))
+    for i in range(n_steps):
+        for lo, hi in _parallel.path_blocks(n_steps - i, n_paths * dim_h):
+            pairs = weights[lo:hi, None, None] * (lag_mats[lo + 1 : hi + 1] @ nodes[i])
+            prod = np.empty((hi - lo, n_paths, dim_h))
+            step_products(pairs, inc[:, i : i + 1], out=prod.swapaxes(0, 1))
+            run, top = sums[i + lo : i + hi], best[i + lo : i + hi]
+            run += prod
+            if dim_h < 8:
+                sq = run[..., 0] ** 2
+                for h in range(1, dim_h):
+                    sq += run[..., h] ** 2
+            else:
+                sq = np.sum(run**2, axis=-1)
+            np.maximum(top, sq, out=top)
+    estimate = 0.0
+    for slice_norm, top in zip(slice_norms, best):
+        if slice_norm != 0.0:
+            moment = float(np.mean(np.sqrt(top) ** r))
+            estimate = max(estimate, moment ** (1.0 / r) / slice_norm)
+    return estimate
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1.0 - n * u)
+
+
+def _reassociation_bound(phi, sg, noise, beta, q, r, weight, a, b):
+    """How far apart two batteries can lie whose products differ only in association.
+
+    a and b are the two estimates.  Slice k's Ito sum at a path adds w_j S_j Phi_i dW_i
+    (j = k - i) over the steps i < k.  Each product, in any association of its factors,
+    is within gamma_{dim_H + dim_U + 1} B of its exact value, coordinate by coordinate,
+    with B = |w_j S_j| |Phi_i| |dW_i|; the running sum, added left to right in step
+    order, adds gamma_{N - 1} times the sum of the |products| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Lemma 3.3, (3.5) and (4.4)).  So every partial sum
+    is within gamma_n A of the exact one, with n = dim_H + dim_U + N and A = sum_{i<k} B,
+    and the exact magnitude is at most |A|.  A computed magnitude, a sum of dim_H squares
+    and a sqrt, is within a factor 1 +- gamma_{dim_H + 1} of the magnitude of its computed
+    sum.  A sup is 1-Lipschitz, so each side's per-path sup lies within
+    gamma_{n + dim_H + 2} |A| of the exact one (the 2 covers the rounding of A itself),
+    and the two within D = 2 gamma_{n + dim_H + 2} |A|.  The L^r mean over the paths is
+    1-Lipschitz in the L^r distance (Minkowski), its powers, mean, root and the division
+    by the slice norm add a relative gamma_{P + 8} to each side, and the max over the
+    slices is 1-Lipschitz.  This holds without underflow, far from the data here.
+    """
+    inc = noise.increments
+    n_paths, n_steps, dim_u = inc.shape
+    dim_h = phi.codomain.dim
+    weights, lag, nodes = norms._slice_terms(phi, sg, noise.grid, beta)
+    kernel = np.abs(weights[:, None, None] * _lag_matrices(lag)[1:])  # |w_j S_j|, row j - 1
+    steps = np.einsum("ihu,piu->iph", np.abs(nodes), np.abs(inc))  # |Phi_i| |dW_i|
+    gap = 2.0 * _gamma(2 * dim_h + dim_u + n_steps + 2)
+    slice_gaps = []
+    for k, slice_norm in enumerate(_slice_norms(phi, sg, noise, beta, q, weight), 1):
+        if slice_norm == 0.0:  # both sides skip a vanishing slice
+            continue
+        spread = np.einsum("ihe,ipe->ph", kernel[k - 1 :: -1], steps[:k])  # A, (P, dim_H)
+        paths = gap * np.sqrt(np.sum(spread**2, axis=1))
+        slice_gaps.append(float(np.mean(paths**r)) ** (1.0 / r) / slice_norm)
+    return max(slice_gaps, default=0.0) + _gamma(n_paths + 8) * (a + b)
 
 
 def _padded_slice_battery(phi, nodes, sg, noise, beta, q, r, weight):
     """The battery with every slice a zero-padded N-step integrand, integrated over all N steps."""
     grid = noise.grid
     n_steps, dt = grid.n_steps, grid.dt
-    lag_mats = lag_table(sg, dt, n_steps)
-    if lag_mats.ndim == 2:
-        lag_mats = np.stack([np.diag(row) for row in lag_mats])
+    lag_mats = _lag_matrices(lag_table(sg, dt, n_steps))
     kernel = np.array([(j * dt) ** (-beta) for j in range(1, n_steps + 1)])
     best = 0.0
     for k in range(1, n_steps + 1):
@@ -332,7 +430,12 @@ def test_integral_norm_estimate_matches_padded_slice_oracle(
     with pytest.MonkeyPatch.context() as mp:
         if slices_per_block is not None:  # every step past the last 3 splits into blocks
             mp.setattr(_parallel, "BLOCK_ELEMENTS", slices_per_block * dim_h * n_paths)
-        assert integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight) == want
+        pair_first = _pair_first_battery(phi, sg, noise, beta, q, r, weight)
+        got = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
+    assert pair_first == want  # the oracle pass is bitwise the slice-by-slice battery
+    assert abs(got - pair_first) <= _reassociation_bound(
+        phi, sg, noise, beta, q, r, weight, got, pair_first
+    )
 
 
 @pytest.mark.parametrize("block_elements", [None, 25])
@@ -344,27 +447,55 @@ def test_integral_norm_estimate_multiplies_each_open_slice_once_per_step(
     sg = SemigroupSpec(space, rates=[1.0, 2.0], horizon=1.0)
     phi = IntegrandSpec.from_constant(SpectralOperator(space, space, [1.0, 0.5]))
     noise = sample_increments(QWienerSpec(space, [1.0, 1.0]), grid, 3, 5)
-    pairs = Counter()
-    original = norms.step_products
+    steps, slices = [], Counter()
+    products, kernel_products = norms.step_products, norms._kernel_products
 
     def recording(mats, inc, out=None):
         step = [i for i in range(n_steps) if np.array_equal(inc, noise.increments[:, i : i + 1])]
-        assert len(step) == 1, "one step's increments per call"
-        pairs[step[0]] += mats.shape[0]
-        return original(mats, inc, out=out)
+        assert len(step) == 1 and mats.shape[0] == 1, "one step's y_i = Phi_i dW_i per call"
+        steps.append(step[0])
+        return products(mats, inc, out=out)
+
+    def counting(kernel, y, out):
+        slices[steps[-1]] += kernel.shape[0]
+        return kernel_products(kernel, y, out)
 
     def refuse(self):
         raise AssertionError(f"the battery built a {type(self).__name__}")
 
     monkeypatch.setattr(norms, "step_products", recording)
+    monkeypatch.setattr(norms, "_kernel_products", counting)
     if block_elements is not None:  # 10 elements per slice: blocks of 2 slices
         monkeypatch.setattr(_parallel, "BLOCK_ELEMENTS", block_elements)
     for cls in (IntegrandSpec, PathEnsemble, NormReport):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     assert integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0) > 0.0
-    # step i multiplies dW_i by the N - i slices k > i still open, and by no other
-    assert pairs == {i: n_steps - i for i in range(n_steps)}
-    assert sum(pairs.values()) == n_steps * (n_steps + 1) // 2
+    # one y_i per step, in step order, and step i serves the N - i slices k > i still open
+    assert steps == list(range(n_steps))
+    assert slices == {i: n_steps - i for i in range(n_steps)}
+    assert sum(slices.values()) == n_steps * (n_steps + 1) // 2
+
+
+def test_integral_norm_estimate_holds_its_sums_and_one_block_of_products():
+    # sums (N, dim_H, P), best (N, P), one block of products (slices, dim_H, P) and of
+    # squares (slices, P), and the kernel table (N, dim_H, dim_H), plus the lag table and
+    # 64 kB: any (N, P, dim_H) temporary or a full (P, N, dim_H) y array (1.3 MB) fails
+    n_steps, n_paths, dim = 160, 256, 4
+    space, grid = HilbertSpec(dim), TimeGrid(1.0, n_steps)
+    rng = np.random.default_rng(7)
+    generator = np.triu(rng.normal(size=(dim, dim)), 1) - np.diag(np.arange(1.0, dim + 1))
+    sg = SemigroupSpec(space, generator=generator)
+    phi = IntegrandSpec.from_constant(DenseOperator(space, space, rng.normal(size=(dim, dim))))
+    noise = sample_increments(QWienerSpec(space, np.ones(dim)), grid, 7, n_paths)
+    tracemalloc.start()
+    try:
+        assert integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0) > 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slices = _parallel.BLOCK_ELEMENTS // (dim * n_paths)
+    held = n_steps * (dim + 1) * n_paths + slices * (dim + 1) * n_paths + n_steps * dim * dim
+    assert peak <= 8 * (held + (n_steps + 1) * dim * dim) + 65536
 
 
 def _weight_mismatch_calls():
