@@ -212,6 +212,18 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
+def kernel_table(lag: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The kernel table c_j = w_j S(j dt), j = 1..N, at index j - 1, scaled in place.
+
+    ``lag`` is a fresh ``hilbert.lag_table`` (rows j = 0..N) that the caller no longer
+    reads: rows 1..N are multiplied by the weights w_1..w_N and returned as a view, so
+    no second table is allocated.
+    """
+    kernel = lag[1:]
+    kernel *= weights.reshape((-1,) + (1,) * (lag.ndim - 1))
+    return kernel
+
+
 def _lag_convolve(
     x: np.ndarray, weights: np.ndarray, semigroup: SemigroupSpec, dt: float
 ) -> np.ndarray:
@@ -229,8 +241,7 @@ def _lag_convolve(
     its own, so its output does not depend on which paths share its block.
     """
     n_lags = weights.size
-    table = lag_table(semigroup, dt, n_lags)[1:]
-    kernel = weights.reshape((-1,) + (1,) * (table.ndim - 1)) * table
+    kernel = kernel_table(lag_table(semigroup, dt, n_lags), weights)
     size = _fft_length(2 * n_lags)
     spectrum = np.fft.rfft(kernel, size, axis=0)  # (F, dim) diagonal, (F, dim, dim) dense
     n_paths, _, dim = x.shape

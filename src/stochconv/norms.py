@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import path_blocks
-from .convolution import singular_weights
+from .convolution import kernel_table, singular_weights
 from .errors import DimensionMismatchError, StochConvError, check_exponent, frozen_array
 from .hilbert import SemigroupSpec, SpectralOperator, hs_norm, lag_table, weight_eigenvalues
 from .ito import (
@@ -243,7 +243,11 @@ def integral_norm_estimate(
     into slice-major running Ito sums (N, dim_H, paths), whose coordinate rows are
     contiguous, and each path keeps its largest squared magnitude (N, paths), the squares
     of the rows added left to right by one einsum (which reduces a single path's
-    coordinates in its own unrolled order).  No array is larger than the sums.
+    coordinates in its own unrolled order).  Beside the sums and maxima the pass holds one
+    block of products and squares, y_i, and the lag table ((N + 1, dim_H) rows for a
+    diagonal S, (N + 1, dim_H, dim_H) matrices for a dense one), which
+    ``convolution.kernel_table`` scales in place into the kernel table once the slice
+    time norms are done.
 
     The product c_j (Phi_i dW_i) associates the factors of (w_j S(j dt) Phi_i) dW_i, the
     pair-first product of a slice-by-slice Ito integral, the other way, so the estimate
@@ -269,9 +273,7 @@ def integral_norm_estimate(
     _, block = path_blocks(n_steps, n_paths * dim_h)[0]
     prods, square = np.empty((block, dim_h, n_paths)), np.empty((block, n_paths))
     y = np.empty((n_paths, 1, dim_h))
-    # after the large buffers: a small array taken first from a block that an earlier stage
-    # freed can leave the sums no room there, and the heap then grows by their size
-    kernel = weights.reshape((-1,) + (1,) * (lag.ndim - 1)) * lag[1:]  # row j - 1: c_j
+    kernel = kernel_table(lag, weights)  # row j - 1: c_j; the slice norms are done with lag
     for i in range(n_steps):
         step_products(nodes[i : i + 1], inc[:, i : i + 1], out=y)
         for lo, hi in path_blocks(n_steps - i, n_paths * dim_h):  # lags lo + 1 .. hi
@@ -279,10 +281,7 @@ def integral_norm_estimate(
             _kernel_products(kernel[lo:hi], y[:, 0].T, prod)
             run, top = sums[i + lo : i + hi], best[i + lo : i + hi]
             run += prod
-            if dim_h == 1:  # one term: the square alone, three times as fast as einsum
-                np.square(run[:, 0], out=sq)
-            else:
-                np.einsum("lhp,lhp->lp", run, run, out=sq)
+            np.einsum("lhp,lhp->lp", run, run, out=sq)
             np.maximum(top, sq, out=top)
     estimate = 0.0
     for slice_norm, top in zip(slice_norms, best):

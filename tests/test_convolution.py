@@ -37,6 +37,7 @@ from stochconv.convolution import (
     _lag_convolve,
     beta_integral,
     direct_recursion,
+    kernel_table,
     left_lr_norm,
     singular_weights,
     smoothing_bound_factor,
@@ -499,6 +500,22 @@ def test_fft_lag_engine_matches_loop_oracle(case, seed, log_scale):
     assert fast.shape == slow.shape
     assert np.all(fast[:, 0] == 0.0)
     assert np.max(np.abs(fast - slow)) <= 4.0 * eps * math.log2(4 * n_lags) * dim * scale
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_kernel_table_scales_the_lag_table_in_place(rng, kind):
+    space, dt, n_lags = HilbertSpec(3), 0.05, 6
+    if kind == "diagonal":
+        sg = SemigroupSpec(space, rates=rng.uniform(0.0, 5.0, 3), horizon=1.0)
+    else:
+        sg = SemigroupSpec(space, generator=rng.normal(size=(3, 3)))
+    weights = singular_weights(0.3, dt, n_lags)
+    lag = lag_table(sg, dt, n_lags)
+    expected = [w * s for w, s in zip(weights, lag[1:])]
+    kernel = kernel_table(lag, weights)
+    assert np.shares_memory(kernel, lag) and kernel.shape == lag[1:].shape
+    for got, want in zip(kernel, expected):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])

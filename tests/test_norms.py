@@ -478,8 +478,9 @@ def test_integral_norm_estimate_multiplies_each_open_slice_once_per_step(
 
 def test_integral_norm_estimate_holds_its_sums_and_one_block_of_products():
     # sums (N, dim_H, P), best (N, P), one block of products (slices, dim_H, P) and of
-    # squares (slices, P), and the kernel table (N, dim_H, dim_H), plus the lag table and
-    # 64 kB: any (N, P, dim_H) temporary or a full (P, N, dim_H) y array (1.3 MB) fails
+    # squares (slices, P), and the lag table (N + 1, dim_H, dim_H), scaled in place into the
+    # kernel table, plus 64 kB: any (N, P, dim_H) temporary or a full (P, N, dim_H) y array
+    # (1.3 MB) fails
     n_steps, n_paths, dim = 160, 256, 4
     space, grid = HilbertSpec(dim), TimeGrid(1.0, n_steps)
     rng = np.random.default_rng(7)
@@ -494,7 +495,7 @@ def test_integral_norm_estimate_holds_its_sums_and_one_block_of_products():
     finally:
         tracemalloc.stop()
     slices = _parallel.BLOCK_ELEMENTS // (dim * n_paths)
-    held = n_steps * (dim + 1) * n_paths + slices * (dim + 1) * n_paths + n_steps * dim * dim
+    held = n_steps * (dim + 1) * n_paths + slices * (dim + 1) * n_paths
     assert peak <= 8 * (held + (n_steps + 1) * dim * dim) + 65536
 
 
