@@ -24,8 +24,8 @@ from .config import (
 )
 from .errors import ConfigError, StochConvError
 from .fubini import FubiniFamily, fubini_report
-from .hilbert import SpectralOperator, apply_operator, semigroup_eval
-from .ito import export_paths_csv, path_sup_norms
+from .hilbert import SpectralOperator, apply_operator, operator_matrix, semigroup_eval
+from .ito import TIME_VARYING, export_paths_csv, path_sup_norms
 from .noise import coarsen_increments, increment_rows, sample_increments
 from .norms import (
     estimate_lpq,
@@ -216,6 +216,10 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
         if not np.isfinite(hi - lo):
             raise ConfigError(f"key 'interval' in {where} must have a finite width hi - lo")
         h = (hi - lo) / n_atoms
+        if h == 0.0:
+            raise ConfigError(
+                f"key 'interval' in {where} gives a step (hi - lo) / n of 0 over n={n_atoms} atoms"
+            )
         name = rule.get("rule", "midpoint")
         if name == "midpoint":
             atoms = lo + (np.arange(n_atoms) + 0.5) * h
@@ -229,7 +233,35 @@ def _build_family(cfg: ScenarioConfig) -> FubiniFamily:
         weights = _numbers({"weights": [1.0] * len(atoms), **spec}, "weights", "options.family")
         if atoms.shape != weights.shape:
             raise ConfigError("family atoms and weights must align")
+    _check_family_bound(cfg, weights, atoms)
     return FubiniFamily(tuple(atoms), weights, (cfg.integrand,) * len(atoms), scales=atoms)
+
+
+_DRAW_CAP = 8.58  # sqrt(-2 ln 2^-53), the sampler's largest |standard draw|, rounded up
+
+
+def _check_family_bound(cfg: ScenarioConfig, weights: np.ndarray, scales: np.ndarray) -> None:
+    """Refuse a family whose integrals could overflow, before any noise is drawn.
+
+    Every value of either side is at most N * sum_j w_j |s_j| * max_i max_h
+    sum_u |Phi_i[h, u]| * 8.58 sqrt(q_u dt), since no draw exceeds 8.58 in size.
+    """
+    phi, grid = cfg.integrand, cfg.grid
+    if phi.kind == TIME_VARYING:
+        mats = phi.node_matrices[: grid.n_steps]
+    else:
+        mats = operator_matrix(phi.constant)[None]
+    draw = _DRAW_CAP * np.sqrt(cfg.noise_spec.q_eigenvalues * grid.dt)
+    step = max(1, 1024 // mats[0].size)  # nodes at a time: no copy of the node table
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = max(float(np.max(np.abs(mats[i : i + step]) @ draw))
+                  for i in range(0, len(mats), step))
+        bound = grid.n_steps * np.sum(weights * np.abs(scales)) * row
+    if not np.isfinite(bound):
+        raise ConfigError(
+            "options.family gives integrals without a finite bound: "
+            "N * sum_j w_j |s_j| * max |Phi_i dW| overflows"
+        )
 
 
 def _run_fubini(cfg: ScenarioConfig):

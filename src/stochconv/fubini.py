@@ -10,20 +10,27 @@ of a family is s_j * g_j: a scale times an integrand.  One walk over the
 time steps builds both sides: each (atom, step) product
 w_j * ((s_j g_j)(t_i) dW_i) is filled once and feeds both reduction orders
 (atoms inner vs. atoms outer), so a single-atom family commutes bitwise.
-A run of dense constant atoms keeps one stacked copy of its entries times
-their scales; a run of time-varying atoms stacks one step block of its
-matrices at a time and multiplies that stack by the scales in place.  Each
-step block of a dense run, or of a time-varying run with dim_U > 1, is then
-filled by one batched ``matmul``, and each side adds the atoms with one
-``np.add.reduce``.  The atoms are reduced left to right on both sides, with
-the bytes of one ``integrand_products`` call per atom on
-``IntegrandSpec.scaled(s_j)``.
+A run of dense constant atoms keeps one copy of its entries times their
+scales; a run of time-varying atoms scales one step block of its matrices at
+a time.  Consecutive atoms that hold one integrand are scaled by one
+broadcast multiply.  The walk holds a step block as (steps, atoms, dim_H,
+paths).  With two or more paths and dim_H > 1, one ``matmul`` fills a run's
+block by one BLAS gemm per step for all its atoms, (atoms * dim_H, dim_U) by
+(dim_U, paths).  With one path or dim_H == 1 an atom's own product is a gemv,
+which the wide gemm does not reproduce bitwise, so those shapes keep one
+product per (step, atom), as do spectral constants, adapted atoms and
+time-varying atoms with dim_U == 1.  The weight multiply, each side's atom sum (one
+``np.add.reduce``) and the running sums then go over sub-blocks of at most
+``_parallel.BLOCK_ELEMENTS`` values, which stay in cache.  The atoms are
+reduced left to right on both sides, with the bytes of one
+``integrand_products`` call per atom on ``IntegrandSpec.scaled(s_j)``.
 
 Memory: the scaled family that ``experiments`` builds from a config holds
 one integrand and n_atoms scales, so a time-varying node table is stored
 once, whatever the number of atoms.  No temporary of the walk holds more
 than max(P, dim_U) * N * dim_H values, whatever the number of atoms: one
-atom's products, or the scaled matrices of at most N atoms.
+block of products, the atoms' running sums, or the scaled matrices of at
+most N atoms.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._parallel import BLOCK_ELEMENTS
 from .convolution import DiscrepancyReport, compare
 from .errors import DimensionMismatchError, StochConvError, frozen_array
 from .hilbert import DenseOperator
@@ -110,7 +118,7 @@ def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
 
 
 def _run_kind(phi: IntegrandSpec) -> str | None:
-    """The kind of atom run that ``_fill_run`` fills from stacked matrices, or None.
+    """The kind of atom run that ``_fill_run`` fills from scaled matrices, or None.
 
     Dense constants and time-varying atoms join runs; spectral constants and
     adapted atoms (kind None) go through ``fill_products`` one by one.
@@ -120,15 +128,23 @@ def _run_kind(phi: IntegrandSpec) -> str | None:
     return "dense" if isinstance(phi.constant, DenseOperator) else None
 
 
+def _shares(phis: tuple, start: int, stop: int) -> list[tuple[int, int]]:
+    """Maximal ranges (a, b) of consecutive atoms start <= j < stop that hold one integrand."""
+    cuts = [j for j in range(start + 1, stop) if phis[j] is not phis[j - 1]]
+    return list(zip([start] + cuts, cuts + [stop]))
+
+
 def _atom_runs(family: FubiniFamily, a0: int, a1: int, n_steps: int, size: int) -> list[tuple]:
     """Maximal ranges (start, stop, kind, operand) of consecutive atoms a0 <= j < a1 of one kind.
 
-    The operand holds a dense run's stacked (transposed) entries times their
-    scales; for time-varying atoms, their step matrices, their scales and a
-    (size, atoms, dim_H, dim_U) buffer for one step block of them; for kind
-    None, each atom's ``IntegrandSpec.scaled``: a constant operator, or a
-    callback wrapper (the atom itself at a scale of 1.0).  No operand holds a
-    scaled node table.
+    A run's atoms come in shares: ranges of atoms that hold one integrand,
+    each scaled by one broadcast multiply (a run of distinct integrands is a
+    run of one-atom shares).  The operand holds a dense run's entries times
+    their scales, (atoms, dim_H, dim_U); for time-varying atoms, each share's
+    step matrices and scales and a (size, atoms, dim_H, dim_U) buffer for one
+    step block of them; for kind None, each atom's ``IntegrandSpec.scaled``:
+    a constant operator, or a callback wrapper (the atom itself at a scale of
+    1.0).  No operand holds a scaled node table.
     """
     phis, scales = family.integrands, family.scales
     runs, start = [], a0
@@ -136,16 +152,18 @@ def _atom_runs(family: FubiniFamily, a0: int, a1: int, n_steps: int, size: int) 
         kind = _run_kind(phis[start])
         if stop < a1 and _run_kind(phis[stop]) == kind:
             continue
-        run, factors = phis[start:stop], scales[start:stop, None, None]
+        dims = (phis[start].codomain.dim, phis[start].domain.dim)
+        shares = [(a - start, b - start, phis[a], scales[a:b, None, None])
+                  for a, b in _shares(phis, start, stop)]
         if kind == TIME_VARYING:
-            mats = [step_matrices(phi, n_steps) for phi in run]
-            operand = mats, factors, np.empty((size, len(run)) + mats[0].shape[1:])
+            parts = [(a, b, step_matrices(phi, n_steps)[:, None], s) for a, b, phi, s in shares]
+            operand = parts, np.empty((size, stop - start) + dims)
         elif kind == "dense":
-            entries = np.stack([phi.constant.entries for phi in run])
-            entries *= factors
-            operand = entries.swapaxes(1, 2)
+            operand = np.empty((stop - start,) + dims)
+            for a, b, phi, s in shares:
+                np.multiply(phi.constant.entries, s, out=operand[a:b])
         else:
-            operand = [phi.scaled(float(s)) for phi, s in zip(run, scales[start:stop])]
+            operand = [phi.scaled(float(s)) for phi, s in zip(phis[start:stop], scales[start:stop])]
         runs.append((start, stop, kind, operand))
         start = stop
     return runs
@@ -154,49 +172,61 @@ def _atom_runs(family: FubiniFamily, a0: int, a1: int, n_steps: int, size: int) 
 def _fill_run(run: tuple, inc: np.ndarray, start: int, stop: int, rows: np.ndarray):
     """(s_j Phi_j)_{t_i} dW_i of a run's atoms j, start <= i < stop, into rows.
 
-    ``rows`` is a time-major block (steps, atoms, paths, dim_H).  Each
-    (step, atom) product is the call that ``fill_products`` makes for that
+    ``rows`` is a time-major block (steps, atoms, dim_H, paths).  Each
+    product has the bytes of the call that ``fill_products`` makes for that
     step on ``IntegrandSpec.scaled(s_j)``, whose matrices are s_j times the
-    atom's, so the bytes are the same: one ``matmul`` fills a dense run or a
-    time-varying run with dim_U > 1, and ``step_products`` fills the atoms of
-    a time-varying run with dim_U == 1 one by one.
+    atom's.  With two or more paths and dim_H > 1 that call is a BLAS gemm,
+    and one ``matmul`` fills a dense run or a time-varying run with dim_U > 1
+    by one gemm per step for all its atoms, (atoms * dim_H, dim_U) by
+    (dim_U, paths).  With one path or dim_H == 1 the atom's product is a
+    gemv, which the wide gemm does not reproduce bitwise, so one ``matmul``
+    makes one product per (step, atom); (dim_H, paths) and (paths, dim_H)
+    are then the same bytes.  ``step_products`` fills the atoms of a
+    time-varying run with dim_U == 1 one by one.
     """
     _, _, kind, operand = run
     if kind is None:
         for j, phi in enumerate(operand):
-            fill_products(phi, inc, start, stop, rows[:, j].swapaxes(0, 1))
+            fill_products(phi, inc, start, stop, rows[:, j].transpose(2, 0, 1))
         return
-    steps = inc[:, start:stop].swapaxes(0, 1)[:, None]  # (steps, 1, paths, dim_U)
     if kind == "dense":
-        np.matmul(steps, operand, out=rows)
-        return
-    mats, factors, buffer = operand
-    stacked = np.stack([m[start:stop] for m in mats], axis=1, out=buffer[: stop - start])
-    stacked *= factors
-    if stacked.shape[3] > 1:
-        np.matmul(steps, stacked.swapaxes(2, 3), out=rows)
-        return
-    for j in range(stacked.shape[1]):
-        step_products(stacked[:, j], inc[:, start:stop], out=rows[:, j].swapaxes(0, 1))
+        scaled = operand
+    else:
+        parts, buffer = operand
+        scaled = buffer[: stop - start]
+        for a, b, mats, factors in parts:
+            np.multiply(mats[start:stop], factors, out=scaled[:, a:b])
+    n_steps, n_atoms, dim_h, n_paths = rows.shape
+    if kind == TIME_VARYING and inc.shape[2] == 1:
+        for j in range(n_atoms):
+            step_products(scaled[:, j], inc[:, start:stop], out=rows[:, j].transpose(2, 0, 1))
+    elif n_paths == 1 or dim_h == 1:
+        steps = inc[:, start:stop].swapaxes(0, 1)[:, None]  # (steps, 1, paths, dim_U)
+        np.matmul(steps, scaled.swapaxes(-1, -2), out=rows.swapaxes(2, 3))
+    else:
+        wide = scaled.reshape(scaled.shape[:-3] + (n_atoms * dim_h, inc.shape[2]))
+        out = rows.reshape(n_steps, n_atoms * dim_h, n_paths)
+        np.matmul(wide, inc.transpose(1, 2, 0)[start:stop], out=out)
 
 
-def _add_atoms(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray, onto_out: bool):
+def _add_atoms(rows: np.ndarray, out: np.ndarray, onto_out: bool):
     """out (paths, n, dim_H) = [out +] rows[:, 0] + rows[:, 1] + ..., left to right.
 
-    ``rows`` is a time-major block (n, atoms, paths, dim_H) and ``nodes`` an
-    (n, paths, dim_H) scratch.  One ``np.add.reduce`` over the atom axis adds
-    the atoms left to right at every value; it starts from -0.0, so that atoms
-    that are all -0.0 sum to -0.0.  It is not used when a step holds one value
-    (P * dim_H == 1), where numpy sums pairwise, nor onto earlier groups' sums,
-    which must stay the first term.
+    ``rows`` is a time-major block (n, atoms, dim_H, paths).  One
+    ``np.add.reduce`` over the atom axis adds the atoms left to right at every
+    value; it starts from -0.0, so that atoms that are all -0.0 sum to -0.0.
+    It is not used when a step holds one value (P * dim_H == 1), where numpy
+    sums pairwise, nor onto earlier groups' sums, which must stay the first
+    term.
     """
+    target = out.transpose(1, 2, 0)
     if onto_out or rows.shape[2] * rows.shape[3] == 1:
-        np.copyto(nodes, out.swapaxes(0, 1) if onto_out else rows[:, 0])
+        if not onto_out:
+            np.copyto(target, rows[:, 0])
         for j in range(0 if onto_out else 1, rows.shape[1]):
-            nodes += rows[:, j]
+            target += rows[:, j]
     else:
-        np.add.reduce(rows, axis=1, out=nodes, initial=-0.0)
-    out[:] = nodes.swapaxes(0, 1)
+        np.add.reduce(rows, axis=1, out=target, initial=-0.0)
 
 
 def _walk_steps(
@@ -205,32 +235,37 @@ def _walk_steps(
     """Add the products of the atoms a0 <= j < a1 into ``first`` and their integrals into ``last``.
 
     The steps go in blocks of max(1, N // g) for g atoms, so the time-major block
-    (steps, g, paths, dim_H) and the atoms' running prefix sums (g, paths, dim_H)
-    hold at most P * N * dim_H values each, and a run's stacked matrices, dense
-    or for one block of time-varying atoms, at most dim_U * N * dim_H.  Each
-    block takes one ``_fill_run`` call per run of atoms.  After the first group
+    (steps, g, dim_H, paths) and the atoms' running sums (g, dim_H, paths) hold
+    at most P * N * dim_H values each, and a run's scaled matrices, dense or
+    for one block of time-varying atoms, at most dim_U * N * dim_H.  Each block
+    takes one ``_fill_run`` call per run of atoms.  The weight multiply, each
+    side's atom sum and the running sums then go over sub-blocks of at most
+    ``BLOCK_ELEMENTS`` values, which stay in cache.  After the first group
     both sides add onto what earlier atoms left there.
     """
     n_paths, n_steps, _ = inc.shape
     size = max(1, n_steps // (a1 - a0))
     runs = _atom_runs(family, a0, a1, n_steps, size)
     weights = family.weights[a0:a1, None, None]
-    block = np.empty((size, a1 - a0, n_paths, first.shape[2]))
-    nodes = np.empty((size, n_paths, first.shape[2]))
+    block = np.empty((size, a1 - a0, first.shape[2], n_paths))
     state = np.empty(block.shape[1:])  # each atom's sum over the steps so far
+    part_size = max(1, BLOCK_ELEMENTS // state.size)
     for start in range(0, n_steps, size):
         stop = min(start + size, n_steps)
         rows = block[: stop - start]
         for run in runs:
             _fill_run(run, inc, start, stop, rows[:, run[0] - a0 : run[1] - a0])
-        rows *= weights
-        _add_atoms(rows, nodes[: stop - start], first[:, start + 1 : stop + 1], a0 > 0)
-        if start:
-            rows[0] += state
-        for i in range(1, stop - start):
-            rows[i] += rows[i - 1]
+        for p0 in range(0, stop - start, part_size):
+            p1 = min(p0 + part_size, stop - start)
+            part, nodes = rows[p0:p1], slice(start + p0 + 1, start + p1 + 1)
+            part *= weights
+            _add_atoms(part, first[:, nodes], a0 > 0)
+            if start + p0:
+                part[0] += rows[p0 - 1] if p0 else state
+            for i in range(1, p1 - p0):
+                part[i] += part[i - 1]
+            _add_atoms(part, last[:, nodes], a0 > 0)
         state[:] = rows[-1]
-        _add_atoms(rows, nodes[: stop - start], last[:, start + 1 : stop + 1], a0 > 0)
 
 
 def _both_orders(family: FubiniFamily, noise: NoiseEnsemble) -> tuple[PathEnsemble, PathEnsemble]:

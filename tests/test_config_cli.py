@@ -593,6 +593,34 @@ def test_fubini_refuses_a_quadrature_interval_of_overflowing_width(tmp_path, mon
     assert "'interval'" in _one_error_line(capsys)
 
 
+def _midpoint_with_family(family):
+    data = json.loads((CONFIG_DIR / "fubini_midpoint.json").read_text())
+    data["options"]["family"] = family
+    return data
+
+
+def test_fubini_refuses_a_quadrature_step_that_rounds_to_zero(tmp_path, monkeypatch, capsys):
+    # h = (hi - lo) / n = 5e-324 / 4 is 0.0: every weight and atom was 0, and the run passed
+    data = _midpoint_with_family({"quadrature": {"n": 4, "interval": [0.0, 5e-324]}})
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    assert main(["fubini", "--config", _write(tmp_path, data), "--out", str(tmp_path)]) == 1
+    err = _one_error_line(capsys)
+    assert "'interval'" in err and "options.family.quadrature" in err
+
+
+def test_fubini_refuses_a_family_whose_integrals_overflow(tmp_path, monkeypatch, capsys):
+    # sum_j w_j |s_j| = 2e308 is inf: the run failed after the whole walk, as
+    # "path ensemble values must be finite"
+    data = _midpoint_with_family({"atoms": [1e308, 1e308]})
+    monkeypatch.setattr(
+        experiments, "sample_increments", lambda *args, **kw: pytest.fail("noise was sampled")
+    )
+    assert main(["fubini", "--config", _write(tmp_path, data), "--out", str(tmp_path)]) == 1
+    assert "options.family" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "betas", [[], [1.5], [0.3, 0.0], [1.0]], ids=["empty", "above", "zero", "one"]
 )

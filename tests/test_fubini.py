@@ -452,6 +452,15 @@ def _per_atom_both_orders(family, noise):
 @example(dim_u=3, dim_h=2, n_steps=1, n_paths=5, runs=[("dense", 4)], zeros=False, seed=7)
 @example(dim_u=3, dim_h=2, n_steps=8, n_paths=1, runs=[("dense", 4), ("adapted", 2)],
          zeros=True, seed=8)
+# one path at dim_U = 8 and dim_H = 1 at several paths: each atom's product is a BLAS
+# gemv, which one wide gemm over the atoms does not reproduce bitwise
+@example(dim_u=8, dim_h=3, n_steps=12, n_paths=1, runs=[("dense", 5), ("time_varying", 6)],
+         zeros=False, seed=9)
+@example(dim_u=4, dim_h=1, n_steps=10, n_paths=5, runs=[("time_varying", 4), ("dense", 3)],
+         zeros=False, seed=10)
+# 64 time-varying atoms at several paths and dim_H > 1: one wide gemm per step for all atoms
+@example(dim_u=3, dim_h=2, n_steps=70, n_paths=3, runs=[("time_varying", 64)], zeros=False,
+         seed=11)
 @settings(max_examples=300, deadline=None)
 def test_batched_fill_is_bitwise_the_per_atom_fill(
     dim_u, dim_h, n_steps, n_paths, runs, zeros, seed
@@ -532,8 +541,8 @@ def test_a_scaled_family_is_bitwise_one_scaled_integrand_per_atom(
 def test_a_scaled_time_varying_family_holds_one_node_table():
     # 64 atoms of y * Phi for a time-varying Phi (8 x 8 at 201 nodes): the family holds
     # Phi's node table once (a copy per atom is 6.6 MB), and a run adds the noise, the two
-    # sides and the walk's temporaries: the time-major block, the prefix-sum state with
-    # the node scratch, and one step block's stacked matrices, each within
+    # sides and the walk's temporaries: the time-major (steps, atoms, dim_H, paths) block,
+    # the atoms' running sums, and one step block's scaled matrices, each within
     # max(P, dim_U) * (N + 1) * dim_H values
     n_paths, n_steps, dim, n_atoms = 16, 200, 8, 64
     rng = np.random.default_rng(12)
