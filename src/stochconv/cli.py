@@ -28,35 +28,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stochconv",
         description="Stochastic convolution experiments on truncated Hilbert spaces",
     )
+    common = argparse.ArgumentParser(add_help=False)  # the options of every subcommand
+    common.add_argument("--config", required=True, help="scenario config JSON file")
+    common.add_argument("--check", action="store_true", help="fail on invariant violations")
+    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument("--workers", type=int, default=None, help="override worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
-        cmd = sub.add_parser(name, help=f"run the {name} experiment preset")
-        cmd.add_argument("--config", required=True, help="scenario config JSON file")
+        cmd = sub.add_parser(name, parents=[common], help=f"run the {name} experiment preset")
         cmd.add_argument("--out", default=".", help="output directory for artifacts")
-        cmd.add_argument("--check", action="store_true", help="fail on invariant violations")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--workers", type=int, default=None, help="override worker threads")
-    convolve = sub.add_parser("convolve", help="export convolution paths as CSV")
-    convolve.add_argument("--config", required=True, help="scenario config JSON file")
-    convolve.add_argument(
-        "--method",
-        choices=("direct", "factorized", "both"),
-        default="both",
-        help="which convolution pipeline(s) to run",
-    )
+    convolve = sub.add_parser("convolve", parents=[common], help="export convolution paths as CSV")
+    convolve.add_argument("--method", choices=("direct", "factorized", "both"), default="both",
+                          help="which convolution pipeline(s) to run")
     convolve.add_argument("--out", required=True, help="output CSV path")
-    convolve.add_argument("--check", action="store_true", help="fail on invariant violations")
-    convolve.add_argument("--seed", type=int, default=None, help="override the config seed")
-    convolve.add_argument("--workers", type=int, default=None, help="override worker threads")
     return parser
 
 
 def _load_with_overrides(args) -> ScenarioConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = int(args.seed)
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = int(args.workers)
+    overrides = {key: value for key in ("seed", "workers")
+                 if (value := getattr(args, key)) is not None}
     return load_config(args.config, overrides)
 
 

@@ -49,8 +49,8 @@ def _require(data: dict, key: str, kinds, where: str):
 
 
 def _is_finite(value) -> bool:
-    try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+    try:  # bool is an int subclass, but true and false are not numbers of the schema
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
 

@@ -16,10 +16,9 @@ The singular stochastic kernel is only ever evaluated at lags >= dt: the
 left-point rule excludes the i = k term, so no regularization is needed.
 Its weights (j dt)^(-beta) come from ``singular_weights`` alone, shared with the
 ``norms`` slices; ``check_admissible`` is the one test of 1/r < beta < 1, r finite.
-Semigroup values at lag j*dt come from ``hilbert.lag_table``, the one place
-where S(j dt) is decided (exp(-rate j dt) for a diagonal semigroup, the j-th
-power of S(dt) for a dense one, matching the prefix recursion of the direct
-pipeline, whose step S(dt) is ``semigroup_eval`` at dt, the table's row 1).
+S(j dt) comes from ``hilbert.lag_table``, the one place where it is decided
+(exp(-rate j dt) for a diagonal semigroup, the j-th power of the direct recursion's
+step S(dt) = ``semigroup_eval`` at dt for a dense one).
 
 The direct pipeline walks the time axis in step blocks: ``direct_recursion``
 asks for a block's products Phi_k dW_k in a time-major buffer and turns its
@@ -30,9 +29,11 @@ experiments drive the same generator on noise drawn block by block
 (``noise.increment_rows``).
 
 The kernel and smoothing stages share one causal lag-convolution engine,
-``_lag_convolve``: a zero-padded real FFT along the time axis with the kernel
-sequence w_j S(j dt), multiplied mode by mode for a diagonal semigroup and by
-the d x d kernel matrix at each frequency for a dense one.  It costs
+``_lag_convolve``: a zero-padded real FFT along the time axis with the table
+c_j = R(j dt) of any lag kernel, here w_j S(j dt) from ``kernel_table``, the one
+pairing of weights with the lag table (the ``norms`` battery's too), multiplied
+mode by mode for a diagonal semigroup and by the d x d kernel matrix at each
+frequency for a dense one.  It costs
 O(P d N log N) (diagonal) or O(P d^2 N log N) (dense) against the
 O(P d N^2) of the lag-by-lag sum, and its rounding error is relative to the
 largest values of the input and the kernel, not to each output node.  Paths
@@ -212,36 +213,32 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def kernel_table(lag: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The kernel table c_j = w_j S(j dt), j = 1..N, at index j - 1, scaled in place.
+def kernel_table(semigroup: SemigroupSpec, dt: float, weights: np.ndarray) -> np.ndarray:
+    """The kernel table c_j = w_j S(j dt), j = 1..N = len(weights), at index j - 1.
 
-    ``lag`` is a fresh ``hilbert.lag_table`` (rows j = 0..N) that the caller no longer
-    reads: rows 1..N are multiplied by the weights w_1..w_N and returned as a view, so
-    no second table is allocated.
+    Rows 1..N of a fresh ``hilbert.lag_table``, (N + 1, dim) or (N + 1, dim, dim),
+    scaled in place and returned as a view, so no second table is allocated.
     """
+    lag = lag_table(semigroup, dt, weights.size)
     kernel = lag[1:]
     kernel *= weights.reshape((-1,) + (1,) * (lag.ndim - 1))
     return kernel
 
 
-def _lag_convolve(
-    x: np.ndarray, weights: np.ndarray, semigroup: SemigroupSpec, dt: float
-) -> np.ndarray:
+def _lag_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Causal lag convolution of a node sequence, shape (paths, N + 1, dim).
 
-    Node k carries sum_{j=1..k} w_j S(j dt) x_{k-j}, with N = len(weights);
+    Node k carries sum_{j=1..k} c_j x_{k-j}, with c_j = kernel[j - 1] and N = len(kernel);
     only nodes 0..N-1 of x are read, and node 0 is exactly zero.
 
-    The kernel c_i = w_{i+1} S((i+1) dt) and each path's x_0..x_{N-1} are
-    zero-padded to a length >= 2N, so the circular convolution of their real
-    FFTs has no wrap-around onto the nodes read back.  The rounding error of
-    a node is bounded relative to the largest magnitudes of x and of the
-    kernel, not to the node itself: a node much smaller than the array
-    maximum can carry a large relative error.  Each path is transformed on
-    its own, so its output does not depend on which paths share its block.
+    The kernel and each path's x_0..x_{N-1} are zero-padded to a length >= 2N, so
+    the circular convolution of their real FFTs has no wrap-around onto the nodes read
+    back.  The rounding error of a node is bounded relative to the largest magnitudes
+    of x and of the kernel, not to the node itself: a node much smaller than the array
+    maximum can carry a large relative error.  Each path is transformed on its own, so
+    its output does not depend on which paths share its block.
     """
-    n_lags = weights.size
-    kernel = kernel_table(lag_table(semigroup, dt, n_lags), weights)
+    n_lags = kernel.shape[0]
     size = _fft_length(2 * n_lags)
     spectrum = np.fft.rfft(kernel, size, axis=0)  # (F, dim) diagonal, (F, dim, dim) dense
     n_paths, _, dim = x.shape
@@ -319,9 +316,8 @@ def kernel_convolution(req: ConvolutionRequest) -> PathEnsemble:
     """
     products = integrand_products(req.phi, req.noise)
     dt = req.noise.grid.dt
-    weights = singular_weights(req.beta, dt, products.shape[1])
-    values = _lag_convolve(products, weights, req.semigroup, dt)
-    return PathEnsemble(values, req.noise.grid)
+    kernel = kernel_table(req.semigroup, dt, singular_weights(req.beta, dt, products.shape[1]))
+    return PathEnsemble(_lag_convolve(products, kernel), req.noise.grid)
 
 
 def factorization_smoothing(
@@ -340,7 +336,7 @@ def factorization_smoothing(
     dt = y.grid.dt
     edges = (np.arange(y.grid.n_steps + 1) * dt) ** beta
     weights = c_beta(beta) * (edges[1:] - edges[:-1]) / beta
-    return PathEnsemble(_lag_convolve(y.values, weights, semigroup, dt), y.grid)
+    return PathEnsemble(_lag_convolve(y.values, kernel_table(semigroup, dt, weights)), y.grid)
 
 
 def factorized_convolution(req: ConvolutionRequest) -> PathEnsemble:

@@ -28,10 +28,7 @@ from .hilbert import SpectralOperator, apply_operator, operator_matrix, semigrou
 from .ito import TIME_VARYING, export_paths_csv, path_sup_norms
 from .noise import coarsen_increments, increment_rows, sample_increments
 from .norms import (
-    estimate_lpq,
-    estimate_lpqr,
-    integral_norm_estimate,
-    singular_kernel_field,
+    estimate_lpq, estimate_lpqr, integral_norm_estimate, singular_kernel_field, slice_time_norms,
 )
 
 __all__ = ["run_experiment", "run_convolve", "write_json"]
@@ -405,13 +402,14 @@ def _run_norms(cfg: ScenarioConfig):
     # the field is freed before the noise and the convolutions are built
     field = singular_kernel_field(phi, semigroup, cfg.grid, cfg.beta, weight=weight)
     field_norm = estimate_lpqr(field, cfg.p, cfg.q, cfg.r, seed=cfg.seed + 3)
+    slice_norms = slice_time_norms(field, cfg.q)
     del field
     noise = _sample_noise(cfg)
     request = _request(cfg, noise)
     direct_lpq = estimate_lpq(conv.direct_convolution(request), cfg.p, cfg.q, seed=cfg.seed + 1)
     smoothed = conv.factorized_convolution(request)
     smoothed_lrr = estimate_lpq(smoothed, cfg.r, cfg.r, seed=cfg.seed + 2)
-    j_estimate = integral_norm_estimate(phi, semigroup, noise, cfg.beta, cfg.q, cfg.r, weight)
+    j_estimate = integral_norm_estimate(phi, semigroup, noise, cfg.beta, slice_norms, cfg.r)
 
     c_beta = conv.c_beta(cfg.beta)
     time_factor = conv.smoothing_bound_factor(cfg.beta, cfg.r, cfg.grid.horizon)

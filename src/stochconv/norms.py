@@ -9,10 +9,10 @@ the path mean sits innermost, and standard errors come from a seeded
 multinomial bootstrap over paths (200 resamples by default).
 
 The singular-kernel family (t_k - s_i)^(-beta) S(t_k - s_i) Phi_i, i < k, comes
-from one set of factors (``_slice_terms``).  The field reads it slice by slice; the
-Ito-operator battery walks the steps once for all open slices, applying the kernel
-table w_j S(j dt) to y_i = Phi_i dW_i, and holds slice-major running sums
-(N, dim_H, paths), running maxima (N, paths) and one block of products.
+from one set of factors (``_slice_terms``), read by the field alone; ``slice_time_norms``
+reads the slices' L^q time norms off the field's columns.  The Ito-operator battery takes
+those norms and walks the steps once for all open slices, applying the
+``convolution.kernel_table`` c_j = w_j S(j dt) to y_i = Phi_i dW_i.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "estimate_lpq",
     "estimate_lpqr",
     "singular_kernel_field",
+    "slice_time_norms",
     "deterministic_lpq_norm",
     "integral_norm_estimate",
 ]
@@ -193,6 +194,24 @@ def singular_kernel_field(
     return TwoParameterField(mags, grid)
 
 
+def slice_time_norms(field: TwoParameterField, q: float) -> list:
+    """Left-rule L^q time norms (sum_{i<N} |field(s_i, t_k)|^q dt)^(1/q), k = 1..N.
+
+    Slice k is column k of the one path of a ``singular_kernel_field``, zero past its
+    support i < k, so every sum runs over the N rows 0..N-1 in one order.
+
+    Raises:
+      StochConvError: unless q is finite and >= 1.
+      DimensionMismatchError: unless the field has one path.
+    """
+    check_exponent("q", q)
+    (n_paths, _, _), grid = field.magnitudes.shape, field.grid
+    if n_paths != 1:
+        raise DimensionMismatchError("slice norms need a one-path field", expected=1, got=n_paths)
+    columns = field.magnitudes[0, : grid.n_steps, 1:].T  # row k - 1: column k, N rows
+    return [float((np.sum(col**q) * grid.dt) ** (1.0 / q)) for col in columns]
+
+
 def deterministic_lpq_norm(
     phi, grid: TimeGrid, q_exponent: float, weight: SpectralOperator | None = None
 ) -> float:
@@ -226,46 +245,43 @@ def _kernel_products(kernel, y, out):
 
 
 def integral_norm_estimate(
-    phi, semigroup: SemigroupSpec, noise: NoiseEnsemble, beta: float, q_exponent: float,
-    r: float, weight: SpectralOperator | None = None,
+    phi, semigroup: SemigroupSpec, noise: NoiseEnsemble, beta: float, slice_norms, r: float
 ) -> float:
     """Empirical norm of the Ito integral operator over the singular slice battery.
 
-    Slice k is the deterministic integrand s -> 1_{s<t_k} (t_k-s)^(-beta) S(t_k-s) Phi_s,
-    as in ``singular_kernel_field``.  Returns the largest ratio, over k = 1..N, of the
-    L^r path norm of its Ito integral to its L^q time norm (0 if every slice vanishes).
+    Slice k is the deterministic integrand s -> 1_{s<t_k} (t_k-s)^(-beta) S(t_k-s) Phi_s
+    of ``singular_kernel_field``, and ``slice_norms[k - 1]`` its L^q time norm, which
+    ``slice_time_norms`` reads off that field.  Returns the largest ratio, over k = 1..N,
+    of the L^r path norm of its Ito integral to its time norm (0 if every norm is 0).
 
-    One pass walks the steps i = 0..N-1 and serves the slices still open (k > i), so
-    slice k is integrated only over its support i < k.  Step i computes y_i = Phi_i dW_i
-    once (``ito.step_products``) and applies the kernel table c_j = w_j S(j dt) of the
-    open lags j = k - i to it, one ``_kernel_products`` call per block of open slices
-    (``_parallel.path_blocks`` of dim_H * paths elements per slice).  The products go
-    into slice-major running Ito sums (N, dim_H, paths), whose coordinate rows are
-    contiguous, and each path keeps its largest squared magnitude (N, paths), the squares
-    of the rows added left to right by one einsum (which reduces a single path's
-    coordinates in its own unrolled order).  Beside the sums and maxima the pass holds one
-    block of products and squares, y_i, and the lag table ((N + 1, dim_H) rows for a
-    diagonal S, (N + 1, dim_H, dim_H) matrices for a dense one), which
-    ``convolution.kernel_table`` scales in place into the kernel table once the slice
-    time norms are done.
+    One pass walks the steps i = 0..N-1 and serves the slices still open (k > i).  Step i
+    computes y_i = Phi_i dW_i once (``ito.step_products``) and applies the lag engine's
+    ``convolution.kernel_table`` c_j = w_j S(j dt) of the open lags j = k - i to it, one
+    ``_kernel_products`` call per block of open slices (``_parallel.path_blocks`` of
+    dim_H * paths elements per slice).  The products go into slice-major running Ito sums
+    (N, dim_H, paths), and each path keeps its largest squared magnitude (N, paths), the
+    squares of the rows added left to right by one einsum (which reduces one path's
+    coordinates in its own unrolled order).  Beside these and the table the pass holds
+    one block of products and squares, and y_i.
 
-    The product c_j (Phi_i dW_i) associates the factors of (w_j S(j dt) Phi_i) dW_i, the
-    pair-first product of a slice-by-slice Ito integral, the other way, so the estimate
-    can differ from that integral's in the last bits; the slice time norms are the
-    ``_singular_slices`` norms of ``singular_kernel_field``, to the bit.
+    c_j (Phi_i dW_i) associates the factors of (w_j S(j dt) Phi_i) dW_i, the pair-first
+    product of a slice-by-slice Ito integral, the other way, so the estimate can differ
+    from that integral's in the last bits.
+
+    Raises:
+      DimensionMismatchError: unless there is one slice norm per step.
     """
-    check_exponent("q", q_exponent)
     check_exponent("r", r)
     check_compatible(phi, noise)
     grid, inc = noise.grid, noise.increments
-    n_paths, n_steps, dim_u = inc.shape
+    n_paths, n_steps, _ = inc.shape
+    if len(slice_norms) != n_steps:
+        raise DimensionMismatchError(
+            "need one slice norm per step", expected=n_steps, got=len(slice_norms)
+        )
     dim_h = phi.codomain.dim
-    weights, lag, nodes = terms = _slice_terms(phi, semigroup, grid, beta)
-    hs_row, slice_norms = np.zeros(n_steps), []
-    for hs in _singular_slices(*terms, weight_eigenvalues(weight, dim_u)):
-        # zero past k, as in the N-step slice: the sum keeps the N-long pairwise order
-        hs_row[: hs.size] = hs
-        slice_norms.append(float((np.sum(hs_row**q_exponent) * grid.dt) ** (1.0 / q_exponent)))
+    kernel = kernel_table(semigroup, grid.dt, singular_weights(beta, grid.dt, n_steps))
+    nodes = step_matrices(phi, n_steps)
     if not any(slice_norms):
         return 0.0
     sums = np.zeros((n_steps, dim_h, n_paths))  # row k - 1: the Ito sum of slice k
@@ -273,7 +289,6 @@ def integral_norm_estimate(
     _, block = path_blocks(n_steps, n_paths * dim_h)[0]
     prods, square = np.empty((block, dim_h, n_paths)), np.empty((block, n_paths))
     y = np.empty((n_paths, 1, dim_h))
-    kernel = kernel_table(lag, weights)  # row j - 1: c_j; the slice norms are done with lag
     for i in range(n_steps):
         step_products(nodes[i : i + 1], inc[:, i : i + 1], out=y)
         for lo, hi in path_blocks(n_steps - i, n_paths * dim_h):  # lags lo + 1 .. hi

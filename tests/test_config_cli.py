@@ -568,6 +568,11 @@ def _with_options(experiment, options):
         pytest.param("constants", {"betas": 5}, "betas", id="betas-not-list"),
         pytest.param("fubini", {"family": 5}, "family", id="family-not-object"),
         pytest.param("fubini", {"family": {"atoms": ["a"]}}, "atoms", id="atoms-str"),
+        pytest.param("fubini", {"family": {"atoms": [True]}}, "atoms", id="atoms-bool"),
+        pytest.param(
+            "factorize-compare", {"final_threshold": True}, "final_threshold",
+            id="final_threshold-bool",
+        ),
         pytest.param("fubini", {"family": {"atoms": [[1.0]]}}, "atoms", id="atoms-nested"),
         pytest.param(
             "fubini", {"family": {"atoms": [1.0], "weights": [None]}}, "weights", id="weights-null"
@@ -682,3 +687,56 @@ def test_variance_experiments_refuse_one_path_before_sampling(
     assert rc == 1
     assert "'n_paths'" in capsys.readouterr().err
     assert not list(out.glob("*_report.json"))
+
+
+def _set(data, path, value):
+    *keys, last = path
+    for key in keys:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        pytest.param(("grid", "T"), True, "key 'T' in grid must be a finite number", id="T"),
+        pytest.param(
+            ("q_eigenvalues",), [True], "key 'q_eigenvalues' in config must hold finite numbers",
+            id="q_eigenvalues",
+        ),
+        pytest.param(
+            ("semigroup", "rates"), [False], "key 'rates' in semigroup must hold finite numbers",
+            id="rates",
+        ),
+        pytest.param(
+            ("semigroup",), {"kind": "dense", "generator": [[False]]},
+            "key 'generator' in semigroup must hold finite numbers", id="generator",
+        ),
+        pytest.param(
+            ("exponents", "p"), True, "key 'p' in exponents must be a finite number", id="p"
+        ),
+        pytest.param(("beta",), False, "key 'beta' in config must be a finite number", id="beta"),
+        pytest.param(
+            ("integrand", "operator", "eigenvalues"), [True],
+            "key 'eigenvalues' in operator must hold finite numbers", id="eigenvalues",
+        ),
+        pytest.param(
+            ("integrand", "operator"), {"kind": "dense", "rows": [[True]]},
+            "key 'rows' in operator must hold finite numbers", id="rows",
+        ),
+    ],
+)
+def test_a_json_boolean_is_refused_as_a_number_before_sampling(
+    tmp_path, monkeypatch, capsys, path, value, message
+):
+    # bool is an int subclass: true and false passed as 1 and 0, and the run sampled noise
+    # (or, for a dense generator or rows, failed later naming no key)
+    data = json.loads((CONFIG_DIR / "ou_check.json").read_text())
+    data["n_paths"] = 200
+    _set(data, path, value)
+    for sampler in ("sample_increments", "increment_rows"):
+        monkeypatch.setattr(
+            experiments, sampler, lambda *args, **kw: pytest.fail("noise was sampled")
+        )
+    assert main(["ou-check", "--config", _write(tmp_path, data), "--out", str(tmp_path)]) == 1
+    assert message in _one_error_line(capsys)

@@ -490,7 +490,7 @@ def test_fft_lag_engine_matches_loop_oracle(case, seed, log_scale):
     # FFT rounding is relative to the largest input and kernel values, not to each node
     sg, weights, dt, shape = case
     x = np.random.default_rng(seed).normal(size=shape) * 10.0**log_scale
-    fast = _lag_convolve(x, weights, sg, dt)
+    fast = _lag_convolve(x, kernel_table(sg, dt, weights))
     slow = _loop_lag_convolve(x, weights, sg, dt)
     n_lags, dim = weights.size, shape[2]
     table = lag_table(sg, dt, n_lags)[1:]
@@ -512,8 +512,10 @@ def test_kernel_table_scales_the_lag_table_in_place(rng, kind):
     weights = singular_weights(0.3, dt, n_lags)
     lag = lag_table(sg, dt, n_lags)
     expected = [w * s for w, s in zip(weights, lag[1:])]
-    kernel = kernel_table(lag, weights)
-    assert np.shares_memory(kernel, lag) and kernel.shape == lag[1:].shape
+    kernel = kernel_table(sg, dt, weights)
+    # rows 1..N of its own lag table, scaled in place: no second table
+    assert np.shares_memory(kernel, kernel.base) and kernel.base.shape == lag.shape
+    assert kernel.shape == lag[1:].shape
     for got, want in zip(kernel, expected):
         assert np.array_equal(got, want)
 
@@ -533,11 +535,12 @@ def test_lag_engine_path_output_is_bitwise_independent_of_its_block(rng, kind, d
     dt = 1.0 / n_lags
     weights = (np.arange(1, n_lags + 1) * dt) ** (-0.3)
     x = rng.normal(size=(n_paths, n_lags + 1, dim))
-    together = _lag_convolve(x, weights, sg, dt)
+    kernel = kernel_table(sg, dt, weights)
+    together = _lag_convolve(x, kernel)
     for path in (0, 1, block - 1, block, n_paths - 1):
-        alone = _lag_convolve(x[path : path + 1], weights, sg, dt)
+        alone = _lag_convolve(x[path : path + 1], kernel)
         assert np.array_equal(alone[0], together[path])
-    reversed_order = _lag_convolve(x[::-1], weights, sg, dt)
+    reversed_order = _lag_convolve(x[::-1], kernel)
     assert np.array_equal(reversed_order[::-1], together)
 
 

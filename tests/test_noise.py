@@ -286,11 +286,14 @@ def test_sample_increments_match_oracle_blocks(monkeypatch, n_paths, dim, worker
             (5, 11, 1),
             "f77155fd7ea343f8abfadb84bac29832cf95a8def9655b465e83b4a5cc57d569",
         ),
+        (99, (250, 50, 8), "add2200d11bbc0f311d8943fa38844e97f7e9889a8417819ff0e1261c257f1bf"),
     ],
-    ids=["seed-99", "seed-2pow64-minus-1"],
+    ids=["seed-99", "seed-2pow64-minus-1", "seed-99-100k-draws"],
 )
 def test_stream_digest_is_pinned(seed, shape, digest):
-    # the stream is fixed: a faster generator must reproduce these digests
+    # the stream is fixed: a faster generator must reproduce these digests.  The 10^5
+    # draws of the last case would see a log or cos kernel that moves a last bit in one
+    # draw in a thousand, which the small cases would most likely miss
     n_paths, n_steps, dim = shape
     ens = sample_increments(_spec(dim), TimeGrid(1.0, n_steps), seed, n_paths)
     assert hashlib.sha256(ens.increments.tobytes()).hexdigest() == digest

@@ -30,11 +30,14 @@ from stochconv import (
     lr_path_norm,
     sample_increments,
 )
-from stochconv import _parallel, norms
+from stochconv import _parallel, experiments, norms
+from stochconv.config import parse_config
 from stochconv.convolution import smoothing_bound_factor
 from stochconv.hilbert import lag_table, operator_matrix, semigroup_eval
 from stochconv.ito import node_magnitudes, step_products
-from stochconv.norms import deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field
+from stochconv.norms import (
+    deterministic_lpq_norm, integral_norm_estimate, singular_kernel_field, slice_time_norms,
+)
 
 
 def _constant_ensemble(value, n_paths=5, n_steps=8, horizon=1.0, dim=1):
@@ -189,6 +192,12 @@ def test_field_from_ensembles_matches_direct_construction(rng):
         assert np.array_equal(field.magnitudes[:, :, t_ix], expected)
 
 
+def _battery(phi, sg, noise, beta, q, r, weight=None):
+    """``integral_norm_estimate`` on the slice time norms of the singular field, as a norms run."""
+    field = singular_kernel_field(phi, sg, noise.grid, beta, weight=weight)
+    return integral_norm_estimate(phi, sg, noise, beta, slice_time_norms(field, q), r)
+
+
 def test_factorized_norm_ratio_below_bound_constant():
     """The end-to-end boundedness chain of the two-stage pipeline holds."""
     rate, beta, p, q, r = 1.0, 0.3, 2.0, 2.0, 4.0
@@ -208,7 +217,7 @@ def test_factorized_norm_ratio_below_bound_constant():
     denominator = estimate_lpqr(field, p, q, r, n_boot=0).estimate
     assert np.isfinite(numerator)
 
-    j_estimate = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
+    j_estimate = _battery(phi, sg, noise, beta, q, r, weight)
 
     bound = (
         grid.horizon ** (1.0 / r)
@@ -251,7 +260,7 @@ def test_integral_norm_estimate_matches_per_pair_oracle(rng, kind):
     phi = IntegrandSpec.from_matrices(space, space, phi_mats)
     weight = SpectralOperator(space, space, [1.0, 0.5, 0.25])
     noise = sample_increments(QWienerSpec(space, [1.0, 0.5, 0.25]), grid, 4, 30)
-    got = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
+    got = _battery(phi, sg, noise, beta, q, r, weight)
     oracle = _slice_battery_oracle(phi_mats, sg, noise, beta, q, r, weight)
     if kind == "diagonal":  # the oracle's products are the pair-first ones
         assert abs(got - oracle) <= _reassociation_bound(
@@ -431,7 +440,7 @@ def test_integral_norm_estimate_matches_padded_slice_oracle(
         if slices_per_block is not None:  # every step past the last 3 splits into blocks
             mp.setattr(_parallel, "BLOCK_ELEMENTS", slices_per_block * dim_h * n_paths)
         pair_first = _pair_first_battery(phi, sg, noise, beta, q, r, weight)
-        got = integral_norm_estimate(phi, sg, noise, beta, q, r, weight=weight)
+        got = _battery(phi, sg, noise, beta, q, r, weight)
     assert pair_first == want  # the oracle pass is bitwise the slice-by-slice battery
     assert abs(got - pair_first) <= _reassociation_bound(
         phi, sg, noise, beta, q, r, weight, got, pair_first
@@ -469,7 +478,7 @@ def test_integral_norm_estimate_multiplies_each_open_slice_once_per_step(
         monkeypatch.setattr(_parallel, "BLOCK_ELEMENTS", block_elements)
     for cls in (IntegrandSpec, PathEnsemble, NormReport):
         monkeypatch.setattr(cls, "__post_init__", refuse)
-    assert integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0) > 0.0
+    assert _battery(phi, sg, noise, 0.3, 2.0, 4.0) > 0.0
     # one y_i per step, in step order, and step i serves the N - i slices k > i still open
     assert steps == list(range(n_steps))
     assert slices == {i: n_steps - i for i in range(n_steps)}
@@ -488,9 +497,10 @@ def test_integral_norm_estimate_holds_its_sums_and_one_block_of_products():
     sg = SemigroupSpec(space, generator=generator)
     phi = IntegrandSpec.from_constant(DenseOperator(space, space, rng.normal(size=(dim, dim))))
     noise = sample_increments(QWienerSpec(space, np.ones(dim)), grid, 7, n_paths)
+    slice_norms = slice_time_norms(singular_kernel_field(phi, sg, grid, 0.3), 2.0)
     tracemalloc.start()
     try:
-        assert integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0) > 0.0
+        assert integral_norm_estimate(phi, sg, noise, 0.3, slice_norms, 4.0) > 0.0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -508,9 +518,7 @@ def _weight_mismatch_calls():
     return {
         "singular_kernel_field": lambda: singular_kernel_field(phi, sg, grid, 0.3, weight=wrong),
         "deterministic_lpq_norm": lambda: deterministic_lpq_norm(phi, grid, 2.0, weight=wrong),
-        "integral_norm_estimate": lambda: integral_norm_estimate(
-            phi, sg, noise, 0.3, 2.0, 4.0, weight=wrong
-        ),
+        "integral_norm_estimate": lambda: _battery(phi, sg, noise, 0.3, 2.0, 4.0, wrong),
     }
 
 
@@ -550,8 +558,8 @@ def test_integrand_short_of_one_matrix_per_step_is_a_dimension_mismatch(name):
     with pytest.raises(DimensionMismatchError, match="one operator per step"):
         if name == "deterministic_lpq_norm":
             deterministic_lpq_norm(phi, grid, 2.0)
-        else:
-            integral_norm_estimate(phi, sg, noise, 0.3, 2.0, 4.0)
+        else:  # the battery's own check, not the field's
+            integral_norm_estimate(phi, sg, noise, 0.3, [1.0] * 10, 4.0)
 
 
 # an exponent that is NaN, infinite or below 1 gives a number that bounds nothing
@@ -596,11 +604,74 @@ def _battery_case():
 def test_integral_norm_estimate_rejects_a_bad_exponent(q, r):
     phi, sg, noise = _battery_case()
     with pytest.raises(StochConvError, match=_BAD_EXPONENT):
-        integral_norm_estimate(phi, sg, noise, 0.3, q, r)
+        _battery(phi, sg, noise, 0.3, q, r)
 
 
 @pytest.mark.parametrize("beta", [math.nan, 1.5, -1.0])
 def test_integral_norm_estimate_rejects_a_kernel_exponent_outside_0_1(beta):
     phi, sg, noise = _battery_case()
     with pytest.raises(StochConvError, match=r"beta must lie in \[0, 1\)"):
-        integral_norm_estimate(phi, sg, noise, beta, 2.0, 4.0)
+        integral_norm_estimate(phi, sg, noise, beta, [1.0] * 6, 4.0)
+
+
+@pytest.mark.parametrize("count", [5, 7])
+def test_integral_norm_estimate_needs_one_slice_norm_per_step(count):
+    phi, sg, noise = _battery_case()  # N = 6
+    with pytest.raises(DimensionMismatchError, match="one slice norm per step"):
+        integral_norm_estimate(phi, sg, noise, 0.3, [1.0] * count, 4.0)
+
+
+def test_slice_time_norms_need_a_one_path_field():
+    field = TwoParameterField(np.ones((2, 9, 9)), TimeGrid(1.0, 8))
+    with pytest.raises(DimensionMismatchError, match="one-path"):
+        slice_time_norms(field, 2.0)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("n_steps", [1, 2, 12])
+def test_slice_time_norms_are_bitwise_the_zero_padded_slice_norms(rng, n_steps, dense, q):
+    # rows 0..N-1 of field column k are slice k of _singular_slices, zero-padded to N
+    space_u, space_h = HilbertSpec(2), HilbertSpec(3)
+    rates = np.array([0.5, 1.0, 3.0])
+    if dense:  # non-normal: strict upper coupling on top of the diagonal decay
+        sg = SemigroupSpec(space_h, generator=np.triu(rng.normal(size=(3, 3)), 1) - np.diag(rates))
+    else:
+        sg = SemigroupSpec(space_h, rates=rates, horizon=1.0)
+    phi = IntegrandSpec.from_matrices(space_u, space_h, rng.normal(size=(n_steps, 3, 2)))
+    weight = SpectralOperator(space_u, space_u, [1.0, 0.25])
+    grid = TimeGrid(1.0, n_steps)
+    noise = sample_increments(QWienerSpec(space_u, [1.0, 0.25]), grid, 5, 2)
+    got = slice_time_norms(singular_kernel_field(phi, sg, grid, 0.3, weight=weight), q)
+    want = _slice_norms(phi, sg, noise, 0.3, q, weight)
+    assert len(got) == n_steps and all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_a_norms_run_builds_its_singular_slices_once(monkeypatch):
+    # the field builds the pair matrices; the battery reads its slice time norms off the
+    # field's columns and applies the kernel table to y_i = Phi_i dW_i
+    data = {
+        "experiment": "norms",
+        "dims": {"U": 2, "H": 2},
+        "grid": {"T": 1.0, "N": 12},
+        "semigroup": {"kind": "dense", "generator": [[-1.0, 0.5], [0.0, -2.0]]},
+        "q_eigenvalues": [1.0, 0.5],
+        "integrand": {
+            "kind": "constant", "operator": {"kind": "diagonal", "eigenvalues": [1.0, 2.0]},
+        },
+        "exponents": {"p": 2.0, "q": 2.0, "r": 4.0},
+        "beta": 0.3,
+        "seed": 11,
+        "n_paths": 16,
+    }
+    passes, slices = [], norms._singular_slices
+
+    def counting(*args):
+        passes.append(args)
+        return slices(*args)
+
+    monkeypatch.setattr(norms, "_singular_slices", counting)
+    fields, ok, _ = experiments._run_norms(parse_config(data))
+    assert len(passes) == 1
+    assert ok and fields["bound_constant"]["integral_norm_estimate"] > 0.0

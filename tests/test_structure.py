@@ -141,10 +141,10 @@ def test_increment_rows_is_the_one_noise_sampler():
 
 
 def test_lag_table_is_read_by_the_lag_engine_and_the_singular_slices_only():
-    # the convolution stages go through _lag_convolve; the norms field and battery
-    # through _slice_terms
+    # kernel_table pairs it with the weights for the lag engine and the norms battery;
+    # the norms field takes its factors through _slice_terms
     assert sorted(_call_sites("lag_table")) == [
-        "convolution.py:_lag_convolve",
+        "convolution.py:kernel_table",
         "norms.py:_slice_terms",
     ]
 
