@@ -239,8 +239,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
         )
     dims = _require(data, "dims", dict, "config")
-    space_u = HilbertSpec(_positive_int(dims, "U", "dims"), "U")
-    space_h = HilbertSpec(_positive_int(dims, "H", "dims"), "H")
+    space_u = HilbertSpec(_positive_int(dims, "U", "dims"))
+    space_h = HilbertSpec(_positive_int(dims, "H", "dims"))
     grid_data = _require(data, "grid", dict, "config")
     horizon = _number(grid_data, "T", "grid")
     if horizon <= 0:

@@ -24,8 +24,8 @@ from .config import (
 )
 from .errors import ConfigError, StochConvError
 from .fubini import FubiniFamily, fubini_report
-from .hilbert import SpectralOperator, apply_operator, operator_matrix, semigroup_eval
-from .ito import TIME_VARYING, export_paths_csv, path_sup_norms
+from .hilbert import SpectralOperator, apply_operator, semigroup_eval
+from .ito import export_paths_csv, path_sup_norms, step_matrices
 from .noise import coarsen_increments, increment_rows, sample_increments
 from .norms import (
     estimate_lpq, estimate_lpqr, integral_norm_estimate, singular_kernel_field, slice_time_norms,
@@ -243,11 +243,8 @@ def _check_family_bound(cfg: ScenarioConfig, weights: np.ndarray, scales: np.nda
     Every value of either side is at most N * sum_j w_j |s_j| * max_i max_h
     sum_u |Phi_i[h, u]| * 8.58 sqrt(q_u dt), since no draw exceeds 8.58 in size.
     """
-    phi, grid = cfg.integrand, cfg.grid
-    if phi.kind == TIME_VARYING:
-        mats = phi.node_matrices[: grid.n_steps]
-    else:
-        mats = operator_matrix(phi.constant)[None]
+    grid = cfg.grid
+    mats = step_matrices(cfg.integrand, grid.n_steps)
     draw = _DRAW_CAP * np.sqrt(cfg.noise_spec.q_eigenvalues * grid.dt)
     step = max(1, 1024 // mats[0].size)  # nodes at a time: no copy of the node table
     with np.errstate(over="ignore", invalid="ignore"):

@@ -10,27 +10,29 @@ of a family is s_j * g_j: a scale times an integrand.  One walk over the
 time steps builds both sides: each (atom, step) product
 w_j * ((s_j g_j)(t_i) dW_i) is filled once and feeds both reduction orders
 (atoms inner vs. atoms outer), so a single-atom family commutes bitwise.
-A run of dense constant atoms keeps one copy of its entries times their
-scales; a run of time-varying atoms scales one step block of its matrices at
-a time.  Consecutive atoms that hold one integrand are scaled by one
-broadcast multiply.  The walk holds a step block as (steps, atoms, dim_H,
-paths).  With two or more paths and dim_H > 1, one ``matmul`` fills a run's
-block by one BLAS gemm per step for all its atoms, (atoms * dim_H, dim_U) by
-(dim_U, paths).  With one path or dim_H == 1 an atom's own product is a gemv,
-which the wide gemm does not reproduce bitwise, so those shapes keep one
-product per (step, atom), as do spectral constants, adapted atoms and
-time-varying atoms with dim_U == 1.  The weight multiply, each side's atom sum (one
-``np.add.reduce``) and the running sums then go over sub-blocks of at most
-``_parallel.BLOCK_ELEMENTS`` values, which stay in cache.  The atoms are
-reduced left to right on both sides, with the bytes of one
-``integrand_products`` call per atom on ``IntegrandSpec.scaled(s_j)``.
+The atoms come in shares: ranges of consecutive atoms that hold one
+integrand object, as every family built from a config is one share.  The
+walk holds a step block as (steps, atoms, dim_H, paths) and fills it one
+share at a time.  A time-varying or dense constant share scales one step
+block of its matrices by one broadcast multiply.  With dim_U == 1 its atoms
+take the outer product of ``step_products``.  With two or more paths and
+dim_H > 1, one ``matmul`` fills the share by one BLAS gemm per step for all
+its atoms, (atoms * dim_H, dim_U) by (dim_U, paths).  With one path or
+dim_H == 1 an atom's own product is a gemv, which the wide gemm does not
+reproduce bitwise, so those shapes keep one product per (step, atom).
+Spectral constants and adapted atoms keep the per-atom ``fill_products``.
+The weight multiply, each side's atom sum (one ``np.add.reduce``) and the
+running sums then go over sub-blocks of at most ``_parallel.BLOCK_ELEMENTS``
+values, which stay in cache.  The atoms are reduced left to right on both
+sides, with the bytes of one ``integrand_products`` call per atom on
+``IntegrandSpec.scaled(s_j)``.
 
 Memory: the scaled family that ``experiments`` builds from a config holds
 one integrand and n_atoms scales, so a time-varying node table is stored
 once, whatever the number of atoms.  No temporary of the walk holds more
 than max(P, dim_U) * N * dim_H values, whatever the number of atoms: one
-block of products, the atoms' running sums, or the scaled matrices of at
-most N atoms.
+block of products, the atoms' running sums, or one step block of a share's
+scaled matrices.
 """
 
 from __future__ import annotations
@@ -117,94 +119,67 @@ def _atom_groups(family: FubiniFamily, n_steps: int) -> list[tuple[int, int]]:
     return [(start, min(start + n_steps, n_atoms)) for start in range(0, n_atoms, n_steps)]
 
 
-def _run_kind(phi: IntegrandSpec) -> str | None:
-    """The kind of atom run that ``_fill_run`` fills from scaled matrices, or None.
+def _atom_shares(family: FubiniFamily, a0: int, a1: int, n_steps: int) -> list[tuple]:
+    """Maximal ranges (a, b, operand) of consecutive atoms a0 <= j < a1 that hold one integrand.
 
-    Dense constants and time-varying atoms join runs; spectral constants and
-    adapted atoms (kind None) go through ``fill_products`` one by one.
-    """
-    if phi.kind == TIME_VARYING:
-        return TIME_VARYING
-    return "dense" if isinstance(phi.constant, DenseOperator) else None
-
-
-def _shares(phis: tuple, start: int, stop: int) -> list[tuple[int, int]]:
-    """Maximal ranges (a, b) of consecutive atoms start <= j < stop that hold one integrand."""
-    cuts = [j for j in range(start + 1, stop) if phis[j] is not phis[j - 1]]
-    return list(zip([start] + cuts, cuts + [stop]))
-
-
-def _atom_runs(family: FubiniFamily, a0: int, a1: int, n_steps: int, size: int) -> list[tuple]:
-    """Maximal ranges (start, stop, kind, operand) of consecutive atoms a0 <= j < a1 of one kind.
-
-    A run's atoms come in shares: ranges of atoms that hold one integrand,
-    each scaled by one broadcast multiply (a run of distinct integrands is a
-    run of one-atom shares).  The operand holds a dense run's entries times
-    their scales, (atoms, dim_H, dim_U); for time-varying atoms, each share's
-    step matrices and scales and a (size, atoms, dim_H, dim_U) buffer for one
-    step block of them; for kind None, each atom's ``IntegrandSpec.scaled``:
-    a constant operator, or a callback wrapper (the atom itself at a scale of
-    1.0).  No operand holds a scaled node table.
+    A time-varying integrand or a dense constant has the matrix operand, a
+    tuple: its step matrices as (N, 1, dim_H, dim_U) (for a constant, the
+    broadcast view that ``step_matrices`` returns) and the share's scales as
+    (atoms, 1, 1).  A spectral constant or an adapted integrand has a list of
+    each atom's ``IntegrandSpec.scaled``: a constant operator, or a callback
+    wrapper (the atom itself at a scale of 1.0).  No operand holds a scaled
+    node table.
     """
     phis, scales = family.integrands, family.scales
-    runs, start = [], a0
-    for stop in range(a0 + 1, a1 + 1):
-        kind = _run_kind(phis[start])
-        if stop < a1 and _run_kind(phis[stop]) == kind:
-            continue
-        dims = (phis[start].codomain.dim, phis[start].domain.dim)
-        shares = [(a - start, b - start, phis[a], scales[a:b, None, None])
-                  for a, b in _shares(phis, start, stop)]
-        if kind == TIME_VARYING:
-            parts = [(a, b, step_matrices(phi, n_steps)[:, None], s) for a, b, phi, s in shares]
-            operand = parts, np.empty((size, stop - start) + dims)
-        elif kind == "dense":
-            operand = np.empty((stop - start,) + dims)
-            for a, b, phi, s in shares:
-                np.multiply(phi.constant.entries, s, out=operand[a:b])
+    cuts = [j for j in range(a0 + 1, a1) if phis[j] is not phis[j - 1]]
+    shares = []
+    for a, b in zip([a0] + cuts, cuts + [a1]):
+        phi = phis[a]
+        if phi.kind == TIME_VARYING or isinstance(phi.constant, DenseOperator):
+            operand = step_matrices(phi, n_steps)[:, None], scales[a:b, None, None]
         else:
-            operand = [phi.scaled(float(s)) for phi, s in zip(phis[start:stop], scales[start:stop])]
-        runs.append((start, stop, kind, operand))
-        start = stop
-    return runs
+            operand = [phi.scaled(float(s)) for s in scales[a:b]]
+        shares.append((a, b, operand))
+    return shares
 
 
-def _fill_run(run: tuple, inc: np.ndarray, start: int, stop: int, rows: np.ndarray):
-    """(s_j Phi_j)_{t_i} dW_i of a run's atoms j, start <= i < stop, into rows.
+def _fill_share(
+    share: tuple, inc: np.ndarray, start: int, stop: int, rows: np.ndarray, buffer: np.ndarray
+):
+    """(s_j Phi_{t_i}) dW_i of a share's atoms j, start <= i < stop, into rows.
 
-    ``rows`` is a time-major block (steps, atoms, dim_H, paths).  Each
-    product has the bytes of the call that ``fill_products`` makes for that
-    step on ``IntegrandSpec.scaled(s_j)``, whose matrices are s_j times the
-    atom's.  With two or more paths and dim_H > 1 that call is a BLAS gemm,
-    and one ``matmul`` fills a dense run or a time-varying run with dim_U > 1
-    by one gemm per step for all its atoms, (atoms * dim_H, dim_U) by
-    (dim_U, paths).  With one path or dim_H == 1 the atom's product is a
-    gemv, which the wide gemm does not reproduce bitwise, so one ``matmul``
-    makes one product per (step, atom); (dim_H, paths) and (paths, dim_H)
-    are then the same bytes.  ``step_products`` fills the atoms of a
-    time-varying run with dim_U == 1 one by one.
+    ``rows`` is the share's columns of a time-major block (steps, atoms,
+    dim_H, paths).  Each product has the bytes of the call that
+    ``fill_products`` makes for that step on ``IntegrandSpec.scaled(s_j)``.
+    A matrix share scales one step block of its matrices into ``buffer``
+    (steps, widest share, dim_H, dim_U) by one broadcast multiply, s_j times
+    the atom's matrices as ``scaled`` makes them.  With dim_U == 1,
+    ``step_products`` fills its atoms one by one: its outer product writes a
+    zero product as +0.0, as the K = 1 product of a dense constant does.  With
+    two or more paths and dim_H > 1 one ``matmul`` fills them by one BLAS gemm
+    per step, (atoms * dim_H, dim_U) by (dim_U, paths).  With one path or
+    dim_H == 1 the atom's product is a gemv, which the wide gemm does not
+    reproduce bitwise, so one ``matmul`` makes one product per (step, atom);
+    (dim_H, paths) and (paths, dim_H) are then the same bytes.  A list share
+    goes through ``fill_products`` atom by atom: through a gemm, a -0.0
+    product of a spectral constant would come out +0.0.
     """
-    _, _, kind, operand = run
-    if kind is None:
+    a, b, operand = share
+    if isinstance(operand, list):
         for j, phi in enumerate(operand):
             fill_products(phi, inc, start, stop, rows[:, j].transpose(2, 0, 1))
         return
-    if kind == "dense":
-        scaled = operand
-    else:
-        parts, buffer = operand
-        scaled = buffer[: stop - start]
-        for a, b, mats, factors in parts:
-            np.multiply(mats[start:stop], factors, out=scaled[:, a:b])
+    mats, factors = operand
+    scaled = np.multiply(mats[start:stop], factors, out=buffer[: stop - start, : b - a])
     n_steps, n_atoms, dim_h, n_paths = rows.shape
-    if kind == TIME_VARYING and inc.shape[2] == 1:
+    if inc.shape[2] == 1:
         for j in range(n_atoms):
             step_products(scaled[:, j], inc[:, start:stop], out=rows[:, j].transpose(2, 0, 1))
     elif n_paths == 1 or dim_h == 1:
         steps = inc[:, start:stop].swapaxes(0, 1)[:, None]  # (steps, 1, paths, dim_U)
         np.matmul(steps, scaled.swapaxes(-1, -2), out=rows.swapaxes(2, 3))
     else:
-        wide = scaled.reshape(scaled.shape[:-3] + (n_atoms * dim_h, inc.shape[2]))
+        wide = scaled.reshape(n_steps, n_atoms * dim_h, inc.shape[2])
         out = rows.reshape(n_steps, n_atoms * dim_h, n_paths)
         np.matmul(wide, inc.transpose(1, 2, 0)[start:stop], out=out)
 
@@ -236,16 +211,18 @@ def _walk_steps(
 
     The steps go in blocks of max(1, N // g) for g atoms, so the time-major block
     (steps, g, dim_H, paths) and the atoms' running sums (g, dim_H, paths) hold
-    at most P * N * dim_H values each, and a run's scaled matrices, dense or
-    for one block of time-varying atoms, at most dim_U * N * dim_H.  Each block
-    takes one ``_fill_run`` call per run of atoms.  The weight multiply, each
+    at most P * N * dim_H values each, and the buffer of one step block of a
+    share's scaled matrices at most dim_U * N * dim_H.  Each block takes one
+    ``_fill_share`` call per share, left to right.  The weight multiply, each
     side's atom sum and the running sums then go over sub-blocks of at most
     ``BLOCK_ELEMENTS`` values, which stay in cache.  After the first group
     both sides add onto what earlier atoms left there.
     """
-    n_paths, n_steps, _ = inc.shape
+    n_paths, n_steps, dim_u = inc.shape
     size = max(1, n_steps // (a1 - a0))
-    runs = _atom_runs(family, a0, a1, n_steps, size)
+    shares = _atom_shares(family, a0, a1, n_steps)
+    width = max((b - a for a, b, operand in shares if isinstance(operand, tuple)), default=0)
+    buffer = np.empty((size, width, first.shape[2], dim_u))
     weights = family.weights[a0:a1, None, None]
     block = np.empty((size, a1 - a0, first.shape[2], n_paths))
     state = np.empty(block.shape[1:])  # each atom's sum over the steps so far
@@ -253,8 +230,8 @@ def _walk_steps(
     for start in range(0, n_steps, size):
         stop = min(start + size, n_steps)
         rows = block[: stop - start]
-        for run in runs:
-            _fill_run(run, inc, start, stop, rows[:, run[0] - a0 : run[1] - a0])
+        for share in shares:
+            _fill_share(share, inc, start, stop, rows[:, share[0] - a0 : share[1] - a0], buffer)
         for p0 in range(0, stop - start, part_size):
             p1 = min(p0 + part_size, stop - start)
             part, nodes = rows[p0:p1], slice(start + p0 + 1, start + p1 + 1)

@@ -35,7 +35,6 @@ class HilbertSpec:
     """A truncated separable Hilbert space: the first ``dim`` basis modes."""
 
     dim: int
-    label: str = "H"
 
     def __post_init__(self):
         if not is_integer(self.dim) or self.dim < 1:

@@ -32,7 +32,7 @@ def rng():
 
 @pytest.fixture
 def scalar_space():
-    return HilbertSpec(1, "H")
+    return HilbertSpec(1)
 
 
 @pytest.fixture

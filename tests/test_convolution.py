@@ -191,7 +191,7 @@ def _direct_cases(draw):
     kind = draw(st.sampled_from(["spectral", "dense", "time_varying", "callback", "path_callback"]))
     dim_h = draw(st.integers(1, 5))
     dim_u = dim_h if kind == "spectral" else draw(st.integers(1, 8 if dim_h == 1 else 5))
-    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     noise = sample_increments(
         QWienerSpec(space_u, rng.uniform(0.1, 2.0, dim_u)), TimeGrid(1.0, n_steps),
@@ -233,7 +233,7 @@ def test_step_block_direct_convolution_is_bitwise_the_stepwise_oracle(req, block
 @pytest.mark.parametrize("generator", [False, True])
 def test_direct_convolution_in_blocks_with_a_short_last_one_is_bitwise_the_oracle(dims, generator):
     dim_u, dim_h = dims
-    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
     rng = np.random.default_rng(13)
     noise = sample_increments(QWienerSpec(space_u, np.ones(dim_u)), TimeGrid(1.0, 37), 8, 5)
     entries = rng.normal(size=(dim_h, dim_u))
@@ -263,7 +263,7 @@ def test_direct_convolution_holds_no_array_of_all_the_products(dims, n_paths, n_
     # PathEnsemble (one byte per value) and a block buffer, not a (P, N, d) products array;
     # (2, 1) is a dense constant onto a one-dimensional H, whose products go to BLAS gemv
     dim_u, dim_h = dims
-    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
     noise = sample_increments(
         QWienerSpec(space_u, np.ones(dim_u)), TimeGrid(1.0, n_steps), 3, n_paths
     )

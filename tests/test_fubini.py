@@ -197,13 +197,13 @@ def test_each_atom_step_product_is_filled_once(tmp_path, monkeypatch):
     # one walk over the steps builds both sides: A * N (atom, step) products in all; a
     # scaled family shares one integrand object, so atoms are counted by index
     filled = []
-    original = fubini._fill_run
+    original = fubini._fill_share
 
-    def counting(run, inc, start, stop, rows):
-        filled.extend((j, i) for j in range(run[0], run[1]) for i in range(start, stop))
-        return original(run, inc, start, stop, rows)
+    def counting(share, inc, start, stop, rows, buffer):
+        filled.extend((j, i) for j in range(share[0], share[1]) for i in range(start, stop))
+        return original(share, inc, start, stop, rows, buffer)
 
-    monkeypatch.setattr(fubini, "_fill_run", counting)
+    monkeypatch.setattr(fubini, "_fill_share", counting)
     data = json.loads((CONFIG_DIR / "fubini_midpoint.json").read_text())
     data["n_paths"] = 3
     cfg = parse_config(data)
@@ -242,7 +242,7 @@ def test_both_orders_memory_does_not_grow_with_the_atoms():
 
 
 def test_both_orders_memory_with_more_noise_modes_than_paths():
-    # a run's stacked matrices, dense or one block of time-varying atoms, hold up to
+    # one step block of a share's scaled matrices, dense or time-varying, holds up to
     # dim_U * N * dim_H values: the bound is max(P, dim_U) * N * dim_H, at 4N atoms
     n_paths, n_steps, dim_u, dim_h = 2, 40, 16, 4
     noise = _noise(dim=dim_u, n_steps=n_steps, n_paths=n_paths, seed=9)
@@ -445,10 +445,10 @@ def _per_atom_both_orders(family, noise):
 # more atoms than steps: later groups add onto the earlier groups' sums
 @example(dim_u=2, dim_h=3, n_steps=3, n_paths=4, runs=[("dense", 7), ("time_varying", 6)],
          zeros=True, seed=5)
-# a dense constant onto dim_H = 1 at dim_U = 8 (one BLAS gemv per step) as a run between runs
+# a dense constant onto dim_H = 1 at dim_U = 8 (one BLAS gemv per step) between time-varying atoms
 @example(dim_u=8, dim_h=1, n_steps=17, n_paths=3,
          runs=[("time_varying", 3), ("dense", 1), ("time_varying", 3)], zeros=False, seed=6)
-# one step or one path: a dense constant still joins a batched run
+# one step or one path: dense constants through the matrix operand
 @example(dim_u=3, dim_h=2, n_steps=1, n_paths=5, runs=[("dense", 4)], zeros=False, seed=7)
 @example(dim_u=3, dim_h=2, n_steps=8, n_paths=1, runs=[("dense", 4), ("adapted", 2)],
          zeros=True, seed=8)
@@ -458,6 +458,8 @@ def _per_atom_both_orders(family, noise):
          zeros=False, seed=9)
 @example(dim_u=4, dim_h=1, n_steps=10, n_paths=5, runs=[("time_varying", 4), ("dense", 3)],
          zeros=False, seed=10)
+# distinct dense constants at dim_U == 1: one share per atom, each through the outer product
+@example(dim_u=1, dim_h=3, n_steps=9, n_paths=4, runs=[("dense", 6)], zeros=True, seed=20)
 # 64 time-varying atoms at several paths and dim_H > 1: one wide gemm per step for all atoms
 @example(dim_u=3, dim_h=2, n_steps=70, n_paths=3, runs=[("time_varying", 64)], zeros=False,
          seed=11)
@@ -501,7 +503,7 @@ SCALES = st.sampled_from([0.0, -0.0, -1.0, -2.5, 1.0, 0.3]) | st.floats(-4.0, 4.
     zero_weights=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-# every kind, with dim_U == 1 (a time-varying run filled atom by atom) and dim_U > 1
+# every kind, with dim_U == 1 (a time-varying share filled atom by atom) and dim_U > 1
 @example(dim_u=2, dim_h=2, n_steps=6, n_paths=3, kind="spectral", scales=[0.5, -0.0, -2.0],
          zero_weights=True, seed=1)
 @example(dim_u=3, dim_h=2, n_steps=6, n_paths=3, kind="dense", scales=[0.5, -0.0, -2.0],
@@ -512,6 +514,11 @@ SCALES = st.sampled_from([0.0, -0.0, -1.0, -2.5, 1.0, 0.3]) | st.floats(-4.0, 4.
          zero_weights=True, seed=4)
 @example(dim_u=2, dim_h=3, n_steps=6, n_paths=3, kind="adapted", scales=[0.5, -0.0, -2.0],
          zero_weights=True, seed=5)
+# a dense constant at dim_U == 1: the outer product of step_products, at one and at 3 paths
+@example(dim_u=1, dim_h=3, n_steps=5, n_paths=1, kind="dense", scales=[0.5, -0.0, -2.0, 0.0],
+         zero_weights=True, seed=8)
+@example(dim_u=1, dim_h=3, n_steps=5, n_paths=3, kind="dense", scales=[0.5, -0.0, -2.0, 0.0],
+         zero_weights=True, seed=9)
 # P * dim_H == 1, and more atoms than steps: several atom groups
 @example(dim_u=1, dim_h=1, n_steps=4, n_paths=1, kind="time_varying",
          scales=[1.0, -0.0, 0.0, -3.0, 2.0, 0.5, -0.5, 4.0, 0.0, -1.0, 1.5], zero_weights=True,

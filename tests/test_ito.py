@@ -341,7 +341,7 @@ def test_step_products_give_a_zero_product_the_sign_of_a_sum():
 def test_a_dense_constant_is_one_product_per_step_over_all_paths(dim_u, dim_h, n_paths, n_steps):
     # each step is its own call over all paths: at one path, one step or dim_H = 1 < dim_U
     # other splits of the products reach BLAS gemv, which sums in another order than gemm
-    space_u, space_h = HilbertSpec(dim_u, "U"), HilbertSpec(dim_h, "H")
+    space_u, space_h = HilbertSpec(dim_u), HilbertSpec(dim_h)
     rng = np.random.default_rng(dim_u * 100 + n_paths * 10 + n_steps)
     op = DenseOperator(space_u, space_h, _signed_entries(rng, (dim_h, dim_u)))
     noise = sample_increments(

@@ -24,7 +24,7 @@ _U64 = st.integers(0, 2**64 - 1)
 
 
 def _spec(dim, q=None):
-    space = HilbertSpec(dim, "U")
+    space = HilbertSpec(dim)
     return QWienerSpec(space, [1.0] * dim if q is None else q)
 
 

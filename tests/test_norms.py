@@ -513,12 +513,10 @@ def _weight_mismatch_calls():
     space, grid = HilbertSpec(2), TimeGrid(1.0, 6)
     sg = SemigroupSpec(space, rates=[1.0, 2.0], horizon=1.0)
     phi = IntegrandSpec.from_matrices(space, space, np.ones((6, 2, 2)))
-    noise = sample_increments(QWienerSpec(space, [1.0, 1.0]), grid, 3, 4)
     wrong = SpectralOperator(HilbertSpec(3), HilbertSpec(3), [1.0, 1.0, 1.0])
     return {
         "singular_kernel_field": lambda: singular_kernel_field(phi, sg, grid, 0.3, weight=wrong),
         "deterministic_lpq_norm": lambda: deterministic_lpq_norm(phi, grid, 2.0, weight=wrong),
-        "integral_norm_estimate": lambda: _battery(phi, sg, noise, 0.3, 2.0, 4.0, wrong),
     }
 
 

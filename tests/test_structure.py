@@ -22,6 +22,19 @@ def test_only_hilbert_decides_how_to_evaluate_the_semigroup():
     assert offenders == []
 
 
+def test_only_hilbert_and_ito_read_operator_entries_and_node_tables():
+    # other modules take Phi_i from ito.step_matrices, so no other module branches on its kind
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("hilbert.py", "ito.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("entries", "node_matrices"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 SCHEMA_KEYS = {"rates", "generator", "eigenvalues", "rows", "operator", "operators"}
 
 
@@ -165,20 +178,18 @@ def test_fubini_tv_fills_each_step_block_with_one_products_call(monkeypatch):
     data["n_paths"] = 2
     cfg = parse_config(data)
     family, noise = experiments._build_family(cfg), experiments._sample_noise(cfg)
-    calls, original = [], fubini._fill_run
+    calls, original = [], fubini._fill_share
 
-    def counting(run, inc, start, stop, rows):
-        calls.append((run[1] - run[0], run[2], start, stop))
-        return original(run, inc, start, stop, rows)
+    def counting(share, inc, start, stop, rows, buffer):
+        calls.append((share[1] - share[0], start, stop))
+        return original(share, inc, start, stop, rows, buffer)
 
     def alone(*args):
         raise AssertionError("an atom was filled on its own")
 
-    monkeypatch.setattr(fubini, "_fill_run", counting)
+    monkeypatch.setattr(fubini, "_fill_share", counting)
     monkeypatch.setattr(fubini, "fill_products", alone)
     fubini._both_orders(family, noise)
     n_steps, size = 500, 500 // 64
     assert (family.n_atoms, cfg.grid.n_steps) == (64, n_steps)
-    assert calls == [
-        (64, "time_varying", start, min(start + size, n_steps)) for start in range(0, n_steps, size)
-    ]
+    assert calls == [(64, start, min(start + size, n_steps)) for start in range(0, n_steps, size)]
